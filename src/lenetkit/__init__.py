@@ -1,9 +1,9 @@
 """lenetkit: a self-contained LeNet training/inference engine.
 
-Dense float64 tensors, a fixed sigmoid/average-pooling LeNet stack with
-analytically exact backward passes, cross-entropy and focal losses, an SGD
-training loop with deterministic seeding, confusion-matrix metrics, PGM
-dataset ingestion with augmentation, and a CLI that ties it together.
+A fixed sigmoid/average-pooling LeNet stack with analytically exact
+backward passes, cross-entropy and focal losses, an SGD training loop with
+deterministic seeding, confusion-matrix metrics, PGM dataset ingestion with
+augmentation, and a CLI that ties it together.
 """
 
 __version__ = "0.1.0"

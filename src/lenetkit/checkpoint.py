@@ -196,7 +196,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CorruptCheckpoint(
                 f"checkpoint sidecar {sidecar} unreadable: {exc}"
             ) from exc
-        ckpt.class_names = meta.get("class_names")
+        if not isinstance(meta, dict):
+            raise CorruptCheckpoint(f"checkpoint sidecar {sidecar} is not an object")
+        names = meta.get("class_names")
+        if names is not None and (not isinstance(names, list) or len(names) != num_classes
+                                  or not all(isinstance(n, str) for n in names)):
+            raise CorruptCheckpoint(f"checkpoint sidecar {sidecar}: class_names must be"
+                                    f" {num_classes} strings to match the binary")
+        ckpt.class_names = names
         ckpt.train_config = meta.get("train_config")
         ckpt.final_record = meta.get("final_record")
     return ckpt

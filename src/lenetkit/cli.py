@@ -124,8 +124,9 @@ def _resolve_alpha(alpha_spec, train_set: data_mod.Dataset) -> np.ndarray | None
 
 
 def _build_train_config(cfg: dict, train_set: data_mod.Dataset) -> train_mod.TrainConfig:
-    if not isinstance(cfg["threads"], int) or cfg["threads"] < 1:
-        raise InvalidConfig(f"threads must be a positive integer, got {cfg['threads']}")
+    if type(cfg["threads"]) is not int or cfg["threads"] != 1:  # bools are ints
+        raise InvalidConfig(
+            f"threads must be 1 (the engine is single-threaded), got {cfg['threads']!r}")
     focal = loss_mod.FocalConfig(gamma=cfg["gamma"],
                                  alpha=_resolve_alpha(cfg["alpha"], train_set))
     # validate augmentation fields up front even when augmentation is off
@@ -262,11 +263,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         model, class_names=train_set.class_names,
         train_config=sidecar_cfg, final_record=final_record)
     ckpt_mod.save_checkpoint(out_dir / "checkpoint.lnck", ckpt)
-    curves_mod.write_curves_csv(out_dir / "curves.csv", records)
-    if records:
-        (out_dir / "curves.svg").write_text(curves_mod.render_curves_svg(records))
-    (out_dir / "metrics.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        curves_mod.write_curves_csv(out_dir / "curves.csv", records)
+        if records:
+            (out_dir / "curves.svg").write_text(curves_mod.render_curves_svg(records))
+        (out_dir / "metrics.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write artifacts to {out_dir}: {exc}") from exc
 
     if diverged:
         print("training diverged; wrote last good state", file=sys.stderr)
@@ -279,10 +283,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ckpt = ckpt_mod.load_checkpoint(args.checkpoint)
     model = ckpt_mod.checkpoint_to_model(ckpt)
     dataset = data_mod.load_dataset(args.data, args.split)
-    if len(dataset.class_names) != ckpt.num_classes:
+    names = dataset.class_names
+    if (len(names) != ckpt.num_classes
+            or (ckpt.class_names and ckpt.class_names != names)):
         raise DatasetNotFound(
-            f"dataset has {len(dataset.class_names)} classes but checkpoint"
-            f" expects {ckpt.num_classes}"
+            f"dataset classes {names} do not match the checkpoint's"
+            f" {ckpt.num_classes} classes {ckpt.class_names or ''}"
         )
 
     trained = ckpt.train_config or {}
@@ -292,9 +298,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     focal = loss_mod.FocalConfig(gamma=gamma, alpha=alpha)
 
     mean_loss, _, cm = train_mod.evaluate(model, dataset, loss_kind, focal)
-    class_names = ckpt.class_names or dataset.class_names
-    positives = _positive_classes(trained.get("positive_classes"), class_names)
-    payload = _metrics_payload(args.split, mean_loss, cm, class_names, positives)
+    positives = _positive_classes(trained.get("positive_classes"), names)
+    payload = _metrics_payload(args.split, mean_loss, cm, names, positives)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -351,7 +356,7 @@ def _add_shared_flags(p: argparse.ArgumentParser):
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--lr", type=float, help="learning rate")
     p.add_argument("--batch-size", type=int, dest="batch_size", help="batch size")
-    p.add_argument("--threads", type=int, help="worker threads (1 = deterministic)")
+    p.add_argument("--threads", type=int, help="must be 1 (single-threaded engine)")
     p.add_argument("--augment", action="store_const", const=True, default=None,
                    help="enable training-time augmentation")
 

@@ -296,10 +296,9 @@ def load_image(path: str | Path) -> np.ndarray:
     except OSError as exc:
         raise ImageDecodeError(f"cannot read {path}: {exc}") from exc
     try:
-        img = decode_pgm(raw)
-    except ImageDecodeError as exc:
+        resized = resize_bilinear(normalize(decode_pgm(raw)))
+    except (ImageDecodeError, InvalidShape) as exc:  # e.g. a 1-pixel-high image
         raise ImageDecodeError(f"{path}: {exc}") from exc
-    resized = resize_bilinear(normalize(img))
     return resized[None, :, :]
 
 

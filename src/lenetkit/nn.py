@@ -118,6 +118,16 @@ def init_params(seed: int, num_classes: int = 3) -> LeNetModel:
 # layer primitives
 # ---------------------------------------------------------------------------
 
+def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col as a strided view: windows[n,c,i,j,u,v] = x[n,c,i+u,j+v].
+
+    Conv forward and the kernel gradient read this one view, and the input
+    gradient scatters back through it (col2im, its adjoint); no unfolded copy
+    of x is made.
+    """
+    return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+
+
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation.
 
@@ -133,17 +143,16 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
         )
     if kh > h or kw > w:
         raise InvalidShape(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    # windows: [N, Cin, Ho, Wo, kh, kw]; contract Cin, kh, kw against the kernel
-    out = np.tensordot(windows, kernel, axes=([1, 4, 5], [1, 2, 3]))
+    # contract Cin, kh, kw of the windows against the kernel
+    out = np.tensordot(_windows(x, kh, kw), kernel, axes=([1, 4, 5], [1, 2, 3]))
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + bias[None, :, None, None]
 
 
-def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
-    """Exact gradients of ``conv2d_forward``.
+def conv2d_param_grads(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
+    """The parameter half of ``conv2d_backward``: (dkernel, dbias).
 
+    For a first layer, whose input gradient nothing reads.
     dL/dk[o,c,u,v] = sum_{n,i,j} dout[n,o,i,j] * x[n,c,i+u,j+v]
-    dL/dx          = dout scattered back through every window it touched
     dL/db[o]       = sum_{n,i,j} dout[n,o,i,j]
     """
     n, cin, h, w = x.shape
@@ -153,16 +162,28 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
         raise InvalidShape(
             f"dout shape {dout.shape} != forward output shape {(n, cout, ho, wo)}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    dkernel = np.tensordot(dout, windows, axes=([0, 2, 3], [0, 2, 3]))
-    dbias = dout.sum(axis=(0, 2, 3))
-    dx = np.zeros_like(x)
+    dkernel = np.tensordot(dout, _windows(x, kh, kw), axes=([0, 2, 3], [0, 2, 3]))
+    return dkernel, dout.sum(axis=(0, 2, 3))
+
+
+def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
+    """Exact gradients of ``conv2d_forward``: (dx, dkernel, dbias).
+
+    dL/dx is col2im of dcols[c,u,v,n,i,j] = sum_o kernel[o,c,u,v] * dout[n,o,i,j]:
+    window element (i,j,u,v) adds back onto x[n,c,i+u,j+v]. dx is summed in
+    [C,N,H,W] order, the layout the one GEMM leaves dcols in, and transposed
+    once at the end.
+    """
+    dkernel, dbias = conv2d_param_grads(x, kernel, dout)
+    n, cin, h, w = x.shape
+    _, _, kh, kw = kernel.shape
+    ho, wo = dout.shape[2:]
+    dcols = np.tensordot(kernel, dout, axes=([0], [1]))
+    dx = np.zeros((cin, n, h, w))
     for u in range(kh):
         for v in range(kw):
-            dx[:, :, u:u + ho, v:v + wo] += np.einsum(
-                "noij,oc->ncij", dout, kernel[:, :, u, v]
-            )
-    return dx, dkernel, dbias
+            dx[:, :, u:u + ho, v:v + wo] += dcols[:, u, v]
+    return np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dkernel, dbias
 
 
 def avgpool2d_forward(x: np.ndarray) -> np.ndarray:
@@ -231,14 +252,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """dz[n,k] = p[n,k] * (dp[n,k] - sum_j dp[n,j] * p[n,j])."""
-    if probs.shape != dprobs.shape:
-        raise InvalidShape(f"dprobs shape {dprobs.shape} != probs {probs.shape}")
-    inner = (dprobs * probs).sum(axis=1, keepdims=True)
-    return probs * (dprobs - inner)
-
-
 # ---------------------------------------------------------------------------
 # whole-model forward / backward
 # ---------------------------------------------------------------------------
@@ -296,13 +309,12 @@ def model_forward(model: LeNetModel, x: np.ndarray):
 
 
 def model_backward(model: LeNetModel, trace: ForwardTrace | None,
-                   upstream: np.ndarray, upstream_kind: str = "dlogits") -> None:
+                   upstream: np.ndarray) -> None:
     """Backpropagate through the whole stack, overwriting every Param.grad.
 
-    ``upstream`` is either the gradient w.r.t. the pre-softmax logits
-    (``upstream_kind="dlogits"``, what the fused losses emit) or w.r.t. the
-    softmax probabilities (``"dprobs"``). Gradients are overwritten, not
-    accumulated; the optimizer relies on that.
+    ``upstream`` is the gradient w.r.t. the pre-softmax logits, what the fused
+    losses emit. Gradients are overwritten, not accumulated; the optimizer
+    relies on that.
     """
     if trace is None or trace.consumed:
         raise InvalidState("forward trace is missing or already consumed")
@@ -310,16 +322,10 @@ def model_backward(model: LeNetModel, trace: ForwardTrace | None,
         raise InvalidShape(
             f"upstream shape {upstream.shape} != logits shape {trace.logits.shape}"
         )
-    if upstream_kind == "dprobs":
-        dlogits = softmax_backward(trace.probs, upstream)
-    elif upstream_kind == "dlogits":
-        dlogits = upstream
-    else:
-        raise InvalidState(f"unknown upstream kind {upstream_kind!r}")
     trace.consumed = True
     p = model.params
 
-    dsig4, dw, db = dense_backward(trace.sig4, p["fc_out.weight"].value, dlogits)
+    dsig4, dw, db = dense_backward(trace.sig4, p["fc_out.weight"].value, upstream)
     p["fc_out.weight"].grad[...] = dw
     p["fc_out.bias"].grad[...] = db
 
@@ -342,6 +348,6 @@ def model_backward(model: LeNetModel, trace: ForwardTrace | None,
 
     dsig1 = avgpool2d_backward(trace.sig1.shape, dpool1)
     dconv1 = sigmoid_backward(trace.sig1, dsig1)
-    _, dk, db = conv2d_backward(trace.x, p["conv1.kernel"].value, dconv1)
+    dk, db = conv2d_param_grads(trace.x, p["conv1.kernel"].value, dconv1)
     p["conv1.kernel"].grad[...] = dk
     p["conv1.bias"].grad[...] = db

@@ -42,7 +42,6 @@ from lenetkit.nn import (
     sigmoid_backward,
     sigmoid_forward,
 )
-from lenetkit.tensor import matmul
 from lenetkit.train import TrainConfig, train
 
 FD_EPS = 1e-5
@@ -198,7 +197,7 @@ def test_oracle_equivalence():
                             np.testing.assert_allclose(out[ni, c, i, j],
                                                        window.mean(), rtol=1e-12)
 
-        # matmul vs triple-loop oracle
+        # matmul (dense_forward with zero bias) vs triple-loop oracle
         for _ in range(5):
             m, kk, n = rng.integers(1, 33, size=3)
             a = rng.normal(size=(m, kk))
@@ -210,7 +209,8 @@ def test_oracle_equivalence():
                     for q in range(kk):
                         s += a[i, q] * b[q, j]
                     expect[i, j] = s
-            np.testing.assert_allclose(matmul(a, b), expect, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dense_forward(a, b, np.zeros(n)), expect,
+                                       rtol=1e-12, atol=1e-12)
 
         # confusion / binarize / macro_report vs counting oracles (exact)
         for _ in range(5):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,14 @@ class TestTrainCommand:
         # last-good checkpoint still written
         assert (tmp_path / "run" / "checkpoint.lnck").is_file()
 
+    def test_artifact_write_failure_is_io_error(self, synth_root, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "curves.csv").mkdir(parents=True)
+        assert run_train(synth_root, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "curves.csv" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestEvaluateCommand:
     def test_reproduces_final_epoch_record(self, synth_root, tmp_path, capsys):
@@ -182,6 +194,26 @@ class TestEvaluateCommand:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("command, sidecar", [
+        ("evaluate", lambda meta: [meta]),
+        ("predict", lambda meta: {**meta, "class_names": ["only"]}),
+        ("evaluate", lambda meta: {**meta, "class_names": ["x", "y", "z"]}),
+    ], ids=["list-sidecar", "one-class-name", "renamed-classes"])
+    def test_sidecar_disagreeing_with_data_is_data_error(
+            self, synth_root, tmp_path, capsys, command, sidecar):
+        out = tmp_path / "run"
+        run_train(synth_root, out)
+        meta_path = out / "checkpoint.lnck.json"
+        meta_path.write_text(json.dumps(sidecar(json.loads(meta_path.read_text()))))
+        image = next((synth_root / "train" / "0_horizontal").glob("*.pgm"))
+        target = (["--data", str(synth_root)] if command == "evaluate"
+                  else ["--image", str(image)])
+        capsys.readouterr()
+        assert cli.main([command, "--checkpoint", str(out / "checkpoint.lnck"),
+                         *target]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
 
 class TestPredictCommand:
     def test_output_structure(self, synth_root, tmp_path, capsys):
@@ -206,6 +238,16 @@ class TestPredictCommand:
                          "--image", str(bad)])
         assert code == 2
         assert capsys.readouterr().err
+
+    def test_one_pixel_high_image_is_data_error(self, synth_root, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_train(synth_root, out)
+        flat = tmp_path / "flat.pgm"
+        flat.write_bytes(b"P5\n8 1\n255\n" + bytes(range(8)))
+        code = cli.main(["predict", "--checkpoint", str(out / "checkpoint.lnck"),
+                         "--image", str(flat)])
+        assert code == 2
+        assert str(flat) in capsys.readouterr().err
 
 
 class TestExportCurves:
@@ -255,7 +297,25 @@ class TestUsageErrors:
         capsys.readouterr()
 
     def test_bad_threads_value(self, synth_root, tmp_path, capsys):
-        code = cli.main(["train", "--data", str(synth_root),
-                         "--out", str(tmp_path / "o"), "--threads", "0"])
-        assert code == 1
-        capsys.readouterr()
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"threads": True}))
+        for extra in (["--threads", "0"], ["--threads", "2"],
+                      ["--config", str(cfg_file)]):
+            code = cli.main(["train", "--data", str(synth_root),
+                             "--out", str(tmp_path / "o"), *extra])
+            assert code == 1, extra
+            assert "threads" in capsys.readouterr().err
+
+
+def test_cli_import_loads_every_module():
+    """No module under the package is left that the engine never imports."""
+    package = Path(cli.__file__).parent
+    expected = {"lenetkit"} | {f"lenetkit.{p.stem}" for p in package.glob("*.py")
+                               if p.stem != "__init__"}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent),
+                                                      env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, lenetkit.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert expected - set(loaded) == set()

@@ -19,7 +19,6 @@ from lenetkit.nn import (
     sigmoid_backward,
     sigmoid_forward,
     softmax,
-    softmax_backward,
 )
 
 FD_TOL = 1e-4
@@ -334,19 +333,6 @@ class TestModelBackward:
             model_backward(model, trace, np.zeros((1, 3)))
         with pytest.raises(InvalidState):
             model_backward(model, None, np.zeros((1, 3)))
-
-    def test_dprobs_route_matches_chain_rule(self):
-        model = init_params(8)
-        x = np.random.default_rng(20).uniform(0, 1, (2, 1, 32, 32))
-        dprobs = np.random.default_rng(21).normal(size=(2, 3))
-        _, t1 = model_forward(model, x)
-        model_backward(model, t1, dprobs, upstream_kind="dprobs")
-        grads = {p.name: p.grad.copy() for p in model.param_list()}
-        _, t2 = model_forward(model, x)
-        dlogits = softmax_backward(t2.probs, dprobs)
-        model_backward(model, t2, dlogits)
-        for p in model.param_list():
-            np.testing.assert_array_equal(p.grad, grads[p.name])
 
 
 class TestInitParams:
