@@ -204,6 +204,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CorruptCheckpoint(f"checkpoint sidecar {sidecar}: class_names must be"
                                     f" {num_classes} strings to match the binary")
         ckpt.class_names = names
-        ckpt.train_config = meta.get("train_config")
-        ckpt.final_record = meta.get("final_record")
+        for key in ("train_config", "final_record"):
+            if not isinstance(meta.get(key), (dict, type(None))):
+                raise CorruptCheckpoint(f"sidecar {sidecar}: {key} is not an object")
+            setattr(ckpt, key, meta.get(key))
     return ckpt

@@ -17,6 +17,8 @@ import argparse
 import json
 import math
 import sys
+import types
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,30 +51,54 @@ EXIT_DIVERGED = 3
 _DATA_ERRORS = (DatasetNotFound, ImageDecodeError, EmptyDataset, IoError,
                 CorruptCheckpoint, UnsupportedVersion, CurvesFormatError)
 
-CONFIG_DEFAULTS = {
-    "epochs": 100,
-    "batch_size": 32,
-    "learning_rate": 0.1,
-    "loss_kind": "cross_entropy",
-    "gamma": 2.0,
-    "alpha": None,          # null = uniform; "inverse_frequency"; or a list
-    "seed": 0,
-    "shuffle": True,
-    "augment": False,
-    "hflip_prob": 0.5,
-    "max_rotation_deg": 15.0,
-    "max_shift_px": 2,
-    "fill_value": 0.0,
-    "threads": 1,
-    "positive_classes": None,  # override for the binarized metric mode
-    "data_root": None,
-    "out_dir": None,
+# key -> (default, JSON type); ranges are checked by the dataclasses the values build
+CONFIG_SCHEMA = {
+    "epochs": (100, int),
+    "batch_size": (32, int),
+    "learning_rate": (0.1, float),
+    "loss_kind": ("cross_entropy", str),
+    "gamma": (2.0, float),
+    "alpha": (None, str | list[float]),  # null = uniform; "inverse_frequency"; or a list
+    "seed": (0, int),
+    "shuffle": (True, bool),
+    "augment": (False, bool),
+    "hflip_prob": (0.5, float),
+    "max_rotation_deg": (15.0, float),
+    "max_shift_px": (2, int),
+    "fill_value": (0.0, float),
+    "threads": (1, int),
+    "positive_classes": (None, list[str | int]),  # override for the binarized metric mode
+    "data_root": (None, str),
+    "out_dir": (None, str),
 }
+# a sidecar's train_config also holds the focal weights the run resolved
+_SIDECAR_SCHEMA = {**CONFIG_SCHEMA, "alpha_resolved": (None, list[float])}
 
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _has_type(value, kind) -> bool:
+    """JSON type test: a bool is not an int, and an int is a float."""
+    if isinstance(kind, types.UnionType):
+        return any(_has_type(value, k) for k in kind.__args__)
+    if isinstance(kind, types.GenericAlias):  # list[item]
+        return type(value) is list and all(_has_type(v, kind.__args__[0]) for v in value)
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _check_config(cfg: dict, where: str, error: type[EngineError],
+                  schema: dict = CONFIG_SCHEMA) -> None:
+    """Raise ``error`` unless each key of ``cfg`` is in ``schema``, with its type."""
+    for key, value in cfg.items():
+        if key not in schema:
+            raise error(f"{where}: unknown config key {key!r}")
+        default, kind = schema[key]
+        if not (value is None and default is None or _has_type(value, kind)):
+            name = kind.__name__ if isinstance(kind, type) else kind
+            raise error(f"{where}: {key} must be {name}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -84,47 +110,31 @@ def _load_config_file(path: str) -> dict:
         raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig("config file must contain a JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_DEFAULTS))
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {', '.join(unknown)}")
+    _check_config(raw, f"config file {path}", InvalidConfig)
     return raw
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- command-line flags."""
-    cfg = dict(CONFIG_DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
-    overrides = {
-        "data_root": getattr(args, "data", None),
-        "out_dir": getattr(args, "out", None),
-        "seed": getattr(args, "seed", None),
-        "loss_kind": getattr(args, "loss", None),
-        "gamma": getattr(args, "gamma", None),
-        "epochs": getattr(args, "epochs", None),
-        "learning_rate": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "threads": getattr(args, "threads", None),
-        "augment": getattr(args, "augment", None),
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    """defaults <- config file <- command-line flags (each flag's dest is its key)."""
+    cfg = {key: default for key, (default, _) in CONFIG_SCHEMA.items()}
+    if args.config:
+        cfg |= _load_config_file(args.config)
+    cfg |= {k: v for k, v in vars(args).items() if k in CONFIG_SCHEMA and v is not None}
     return cfg
 
 
-def _resolve_alpha(alpha_spec, train_set: data_mod.Dataset) -> np.ndarray | None:
-    if alpha_spec is None:
-        return None
+def _resolve_alpha(alpha_spec, train_set: data_mod.Dataset):
+    """null or a list passes through; FocalConfig makes it an array."""
     if alpha_spec == "inverse_frequency":
         return loss_mod.inverse_frequency_alpha(train_set.class_counts())
-    if isinstance(alpha_spec, (list, tuple)):
-        return np.asarray(alpha_spec, dtype=np.float64)
-    raise InvalidConfig(
-        f"alpha must be null, 'inverse_frequency', or a list, got {alpha_spec!r}"
-    )
+    if isinstance(alpha_spec, str):
+        raise InvalidConfig(
+            f"alpha must be null, 'inverse_frequency', or a list, got {alpha_spec!r}")
+    return alpha_spec
 
 
 def _build_train_config(cfg: dict, train_set: data_mod.Dataset) -> train_mod.TrainConfig:
-    if type(cfg["threads"]) is not int or cfg["threads"] != 1:  # bools are ints
+    if cfg["threads"] != 1:
         raise InvalidConfig(
             f"threads must be 1 (the engine is single-threaded), got {cfg['threads']!r}")
     focal = loss_mod.FocalConfig(gamma=cfg["gamma"],
@@ -154,15 +164,10 @@ def _build_train_config(cfg: dict, train_set: data_mod.Dataset) -> train_mod.Tra
 def _positive_classes(cfg_value, class_names: list[str]) -> list[int]:
     if cfg_value is None:
         return metrics_mod.default_positive_classes(class_names)
-    indices = []
     for item in cfg_value:
-        if isinstance(item, str):
-            if item not in class_names:
-                raise InvalidConfig(f"unknown positive class name {item!r}")
-            indices.append(class_names.index(item))
-        else:
-            indices.append(int(item))
-    return indices
+        if isinstance(item, str) and item not in class_names:
+            raise InvalidConfig(f"unknown positive class name {item!r}")
+    return [class_names.index(i) if isinstance(i, str) else i for i in cfg_value]
 
 
 def _metrics_payload(split: str, mean_loss: float, cm, class_names: list[str],
@@ -178,35 +183,24 @@ def _metrics_payload(split: str, mean_loss: float, cm, class_names: list[str],
     binarized["positive_classes"] = sorted(positive_classes)
     macro_json = metrics_mod.report_json(macro, cm)
     macro_json["per_class"] = per_class_rows
-    total = cm.total
     return {
         "split": split,
-        "num_samples": total,
+        "num_samples": cm.total,
         "class_names": class_names,
         "loss": mean_loss,
-        "accuracy": None if total == 0 else int(np.trace(cm.counts)) / total,
+        "accuracy": macro.accuracy,
         "reports": {
             "binarized_nodule": binarized,
             "macro_ovr": macro_json,
             "per_class": {
                 "mode": "per_class",
-                "accuracy": None if total == 0 else int(np.trace(cm.counts)) / total,
+                "accuracy": macro.accuracy,
                 "sensitivity": None,
                 "specificity": None,
                 "confusion": cm.counts.tolist(),
                 "per_class": per_class_rows,
             },
         },
-    }
-
-
-def _record_json(record: train_mod.EpochRecord) -> dict:
-    return {
-        "epoch": record.epoch,
-        "train_loss": record.train_loss,
-        "train_acc": record.train_acc,
-        "val_loss": record.val_loss,
-        "val_acc": record.val_acc,
     }
 
 
@@ -251,7 +245,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         records = exc.records
         diverged = True
 
-    final_record = _record_json(records[-1]) if records else None
+    final_record = asdict(records[-1]) if records else None
     val_loss, _, cm = train_mod.evaluate(model, val_set, tcfg.loss_kind, tcfg.focal)
     payload = _metrics_payload("validation", val_loss, cm,
                                train_set.class_names, positives)
@@ -281,6 +275,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ckpt = ckpt_mod.load_checkpoint(args.checkpoint)
+    where = f"checkpoint sidecar of {args.checkpoint}"
+    _check_config(ckpt.train_config or {}, where, CorruptCheckpoint, _SIDECAR_SCHEMA)
+    trained = {k: d for k, (d, _) in _SIDECAR_SCHEMA.items()} | (ckpt.train_config or {})
+    if trained["loss_kind"] not in train_mod.LOSS_KINDS:
+        raise CorruptCheckpoint(
+            f"{where}: loss_kind must be one of {train_mod.LOSS_KINDS}")
     model = ckpt_mod.checkpoint_to_model(ckpt)
     dataset = data_mod.load_dataset(args.data, args.split)
     names = dataset.class_names
@@ -291,14 +291,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f" {ckpt.num_classes} classes {ckpt.class_names or ''}"
         )
 
-    trained = ckpt.train_config or {}
-    loss_kind = args.loss or trained.get("loss_kind", "cross_entropy")
-    gamma = args.gamma if args.gamma is not None else trained.get("gamma", 2.0)
-    alpha = trained.get("alpha_resolved") if args.loss is None else None
+    loss_kind = args.loss or trained["loss_kind"]
+    gamma = args.gamma if args.gamma is not None else trained["gamma"]
+    alpha = trained["alpha_resolved"] if args.loss is None else None
     focal = loss_mod.FocalConfig(gamma=gamma, alpha=alpha)
 
     mean_loss, _, cm = train_mod.evaluate(model, dataset, loss_kind, focal)
-    positives = _positive_classes(trained.get("positive_classes"), names)
+    positives = _positive_classes(trained["positive_classes"], names)
     payload = _metrics_payload(args.split, mean_loss, cm, names, positives)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -332,7 +331,10 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 
 
 def cmd_export_curves(args: argparse.Namespace) -> int:
-    curves_mod.export_curves_svg(args.csv, args.svg)
+    try:
+        curves_mod.export_curves_svg(args.csv, args.svg)
+    except OSError as exc:
+        raise IoError(f"cannot write {args.svg}: {exc}") from exc
     print(f"wrote {args.svg}", file=sys.stderr)
     return EXIT_OK
 
@@ -348,13 +350,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_shared_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--data", help="dataset root directory")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--data", dest="data_root", help="dataset root directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--loss", choices=train_mod.LOSS_KINDS, help="loss function")
+    p.add_argument("--loss", choices=train_mod.LOSS_KINDS, dest="loss_kind",
+                   help="loss function")
     p.add_argument("--gamma", type=float, help="focal loss focusing exponent")
     p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--lr", type=float, help="learning rate")
+    p.add_argument("--lr", type=float, dest="learning_rate", help="learning rate")
     p.add_argument("--batch-size", type=int, dest="batch_size", help="batch size")
     p.add_argument("--threads", type=int, help="must be 1 (single-threaded engine)")
     p.add_argument("--augment", action="store_const", const=True, default=None,

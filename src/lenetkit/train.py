@@ -74,7 +74,9 @@ def _compute_loss(logits, targets, loss_kind, focal_cfg):
     if loss_kind == "focal":
         return loss_mod.focal_loss(logits, targets, focal_cfg
                                    or loss_mod.FocalConfig())
-    return loss_mod.cross_entropy(logits, targets)
+    if loss_kind == "cross_entropy":
+        return loss_mod.cross_entropy(logits, targets)
+    raise InvalidConfig(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
 
 
 def _stack_pixels(samples) -> np.ndarray:

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenetkit import cli
 from lenetkit.data import load_dataset
@@ -25,6 +30,10 @@ def run_train(root, out, extra=()):
     argv = ["train", "--data", str(root), "--out", str(out),
             "--epochs", "3", "--batch-size", "4", "--seed", "9", *extra]
     return cli.main(argv)
+
+
+def with_train_config(**changes):
+    return lambda meta: {**meta, "train_config": {**meta["train_config"], **changes}}
 
 
 class TestGenSynthetic:
@@ -198,7 +207,15 @@ class TestEvaluateCommand:
         ("evaluate", lambda meta: [meta]),
         ("predict", lambda meta: {**meta, "class_names": ["only"]}),
         ("evaluate", lambda meta: {**meta, "class_names": ["x", "y", "z"]}),
-    ], ids=["list-sidecar", "one-class-name", "renamed-classes"])
+        ("evaluate", lambda meta: {**meta, "train_config": [1]}),
+        ("evaluate", with_train_config(gamma="x")),
+        ("evaluate", with_train_config(positive_classes=7)),
+        ("evaluate", with_train_config(loss_kind="hinge")),
+        ("evaluate", with_train_config(alpha_resolved=["a"])),
+        ("predict", lambda meta: {**meta, "final_record": 3}),
+    ], ids=["list-sidecar", "one-class-name", "renamed-classes", "list-train-config",
+            "string-gamma", "int-positive-classes", "unknown-loss-kind",
+            "string-alpha-resolved", "int-final-record"])
     def test_sidecar_disagreeing_with_data_is_data_error(
             self, synth_root, tmp_path, capsys, command, sidecar):
         out = tmp_path / "run"
@@ -213,6 +230,7 @@ class TestEvaluateCommand:
                          *target]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestPredictCommand:
@@ -282,6 +300,17 @@ class TestExportCurves:
         assert code == 2
         assert not (tmp_path / "x.svg").exists()
 
+    def test_svg_into_missing_directory_is_io_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                            "1,0.5,0.6,0.7,0.4\n")
+        svg_path = tmp_path / "missing" / "one.svg"
+        assert cli.main(["export-curves", "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(svg_path) in err
+        assert len(err.splitlines()) == 1
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -305,6 +334,73 @@ class TestUsageErrors:
                              "--out", str(tmp_path / "o"), *extra])
             assert code == 1, extra
             assert "threads" in capsys.readouterr().err
+
+
+# Config values of a wrong JSON type, per key, written independently of
+# cli.CONFIG_SCHEMA: a bool is not an int, an int is a float, and null is
+# allowed only where the default is null.
+_JSON = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-10, 10**12),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=6),
+    "list": st.lists(st.integers(0, 2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+_ACCEPTS = {
+    **dict.fromkeys(["epochs", "batch_size", "seed", "max_shift_px", "threads"], {"int"}),
+    **dict.fromkeys(["learning_rate", "gamma", "hflip_prob", "max_rotation_deg",
+                     "fill_value"], {"int", "float"}),
+    "shuffle": {"bool"}, "augment": {"bool"}, "loss_kind": {"str"},
+    "alpha": {"null", "str", "list"}, "positive_classes": {"null", "list"},
+    "data_root": {"null", "str"}, "out_dir": {"null", "str"},
+}
+_WRONG_ITEMS = {  # lists whose items have the wrong type
+    "alpha": st.lists(st.text() | st.booleans() | st.none(), min_size=1),
+    "positive_classes": st.lists(st.floats() | st.booleans() | st.none(), min_size=1),
+}
+
+
+@st.composite
+def wrongly_typed_configs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(cli.CONFIG_SCHEMA)), min_size=1,
+                         unique=True))
+    wrong = keys[:draw(st.integers(1, len(keys)))]
+    cfg = {key: cli.CONFIG_SCHEMA[key][0] for key in keys}
+    for key in wrong:
+        kinds = [s for kind, s in _JSON.items() if kind not in _ACCEPTS[key]]
+        cfg[key] = draw(st.one_of(kinds + [_WRONG_ITEMS.get(key, st.nothing())]))
+    return cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=wrongly_typed_configs())
+def test_wrongly_typed_config_exits_1(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["train", "--config", str(cfg_file), "--data",
+                             str(Path(tmp) / "data"), "--out", str(Path(tmp) / "out")])
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+        assert not (Path(tmp) / "out").exists()
+
+
+def test_readme_config_table_matches_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration", 1)[1].split("\n\n| key |", 1)[1]
+    documented = {}
+    for row in table.split("\n\n", 1)[0].splitlines()[2:]:
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        default = json.loads(cells[2].strip("`"))
+        for key in cells[0].split(", "):
+            documented[key.strip("`")] = (type(default), default)
+    assert documented == {key: (type(default), default)
+                          for key, (default, _) in cli.CONFIG_SCHEMA.items()}
 
 
 def test_cli_import_loads_every_module():

@@ -202,6 +202,8 @@ class TestTrainLoop:
             TrainConfig(learning_rate=-0.1)
         with pytest.raises(InvalidConfig):
             TrainConfig(loss_kind="hinge")
+        with pytest.raises(InvalidConfig):
+            evaluate(init_params(0), tiny_dataset(), "focall")
 
 
 class TestLearnsSyntheticData:
