@@ -14,18 +14,31 @@ Binary layout, all integers little-endian:
         values                 f64 IEEE-754, row-major
     crc                        u64, CRC-64 over all preceding bytes
 
-The CRC is CRC-64/XZ (reflected ECMA-182 polynomial). Loading verifies
-magic, CRC, then structure; a truncated or tampered file never yields a
-partial model.
+The CRC is CRC-64/XZ (reflected ECMA-182 polynomial). It is computed over
+``_CRC64_LANES`` contiguous slices of the input at once, each numpy step
+advancing every slice by one byte through the byte table; the slice CRCs are
+then folded pairwise with the GF(2)-linear "feed k zero bytes" map, as zlib's
+``crc32_combine`` does, and the bytes after the last whole slice go through
+the plain per-byte loop. The value is the same as the byte-at-a-time CRC's,
+so the format does not depend on how it is computed. Loading verifies magic,
+CRC, then structure; a truncated or tampered file never yields a partial
+model.
 
 Run metadata that is not part of the binary contract (class names, the
 training config echo, the final epoch record) travels in an optional JSON
-sidecar ``<path>.json`` written only when such metadata is present.
+sidecar ``<path>.json``. Saving writes the binary and the sidecar each to a
+temporary file beside its target and renames both into place only once both
+are written, so a failed save leaves the previous files whole. A checkpoint
+without metadata removes any sidecar left at its path, so an old sidecar
+never describes a new binary.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +52,7 @@ MAGIC = b"LNCK"
 VERSION = 1
 
 _CRC64_POLY = 0xC96C5795D7870F42  # ECMA-182, reflected
+_CRC64_LANES = 4096  # a power of two, so the lanes fold pairwise to one
 
 
 def _make_crc64_table():
@@ -52,11 +66,53 @@ def _make_crc64_table():
 
 
 _CRC64_TABLE = _make_crc64_table()
+_CRC64_TABLE_U64 = np.array(_CRC64_TABLE, dtype=np.uint64)
+
+
+def _advance(regs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Feed row i of the uint8 ``block`` through CRC register ``regs[i]``."""
+    for column in block.T:
+        regs = np.take(_CRC64_TABLE_U64, regs.astype(np.uint8) ^ column) ^ (regs >> 8)
+    return regs
+
+
+def _byte_tables(images: np.ndarray) -> np.ndarray:
+    """Eight 256-entry tables of the GF(2)-linear map taking bit i to ``images[i]``."""
+    tables = np.zeros((8, 256), dtype=np.uint64)
+    bits = images.reshape(8, 8)
+    for b in range(8):
+        tables[:, 1 << b:2 << b] = tables[:, :1 << b] ^ bits[:, b:b + 1]
+    return tables
+
+
+def _apply(tables: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """Map every register through the linear map that ``_byte_tables`` built."""
+    out = np.take(tables[0], regs.astype(np.uint8))
+    for k in range(1, 8):
+        out ^= np.take(tables[k], (regs >> 8 * k).astype(np.uint8))
+    return out
 
 
 def crc64(data: bytes) -> int:
+    """CRC-64/XZ of a bytes-like object."""
     crc = 0xFFFFFFFFFFFFFFFF
-    for b in data:
+    span = len(data) // _CRC64_LANES
+    if span:
+        # only the first lane carries the initial value; a fold shifts the earlier
+        # lane's register past the later lane's bytes and XORs the two
+        regs = np.zeros(_CRC64_LANES, dtype=np.uint64)
+        regs[0] = crc
+        regs = _advance(regs, np.frombuffer(data, np.uint8, _CRC64_LANES * span)
+                        .reshape(_CRC64_LANES, span))
+        # images of the 64 register bits under span zero bytes; each fold doubles span
+        images = _advance(np.uint64(1) << np.arange(64, dtype=np.uint64),
+                          np.zeros((64, span), dtype=np.uint8))
+        while len(regs) > 1:
+            tables = _byte_tables(images)
+            regs = _apply(tables, regs[0::2]) ^ regs[1::2]
+            images = _apply(tables, images)
+        crc = int(regs[0])
+    for b in data[_CRC64_LANES * span:]:
         crc = _CRC64_TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFFFFFFFFFF
 
@@ -103,7 +159,7 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Write the binary checkpoint (and metadata sidecar when present)."""
+    """Write the binary checkpoint and its metadata sidecar, or remove a stale one."""
     path = Path(path)
     buf = bytearray()
     buf += MAGIC
@@ -117,19 +173,29 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         buf += struct.pack("<I", value.ndim)
         buf += struct.pack(f"<{value.ndim}I", *value.shape)
         buf += np.ascontiguousarray(value, dtype="<f8").tobytes()
-    buf += struct.pack("<Q", crc64(bytes(buf)))
+    buf += struct.pack("<Q", crc64(buf))
+    files = {path: buf}
+    meta = {
+        key: getattr(ckpt, key)
+        for key in ("class_names", "train_config", "final_record")
+        if getattr(ckpt, key) is not None
+    }
+    if meta:
+        files[_sidecar_path(path)] = (json.dumps(meta, indent=2, sort_keys=True)
+                                      + "\n").encode()
+    temps = {target: target.with_name(f"{target.name}.{os.getpid()}.tmp")
+             for target in files}
     try:
-        path.write_bytes(bytes(buf))
-        meta = {
-            key: getattr(ckpt, key)
-            for key in ("class_names", "train_config", "final_record")
-            if getattr(ckpt, key) is not None
-        }
-        if meta:
-            _sidecar_path(path).write_text(
-                json.dumps(meta, indent=2, sort_keys=True) + "\n"
-            )
+        for target, data in files.items():
+            temps[target].write_bytes(data)
+        for target, temp in temps.items():
+            os.replace(temp, target)
+        if not meta:
+            _sidecar_path(path).unlink(missing_ok=True)
     except OSError as exc:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
@@ -176,14 +242,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     param_count = r.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(param_count):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpoint(f"parameter name is not UTF-8: {exc}") from exc
         rank = r.u32()
         if rank < 1 or rank > 8:
             raise CorruptCheckpoint(f"parameter {name!r} has absurd rank {rank}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        count = int(np.prod(dims))
+        count = math.prod(dims)  # a Python int: u32 dims cannot overflow it
         values = np.frombuffer(r.take(8 * count), dtype="<f8")
-        params[name] = values.reshape(dims).astype(np.float64)
+        try:
+            params[name] = values.reshape(dims).astype(np.float64)
+        except ValueError as exc:  # a zero dim beside dims too large to address
+            raise CorruptCheckpoint(f"parameter {name!r} has dims {dims}: {exc}") from exc
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes after parameter table")
 

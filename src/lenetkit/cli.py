@@ -133,12 +133,20 @@ def _resolve_alpha(alpha_spec, train_set: data_mod.Dataset):
     return alpha_spec
 
 
+def _focal_config(gamma, alpha, num_classes: int) -> loss_mod.FocalConfig:
+    focal = loss_mod.FocalConfig(gamma=gamma, alpha=alpha)
+    if focal.alpha is not None and len(focal.alpha) != num_classes:
+        raise InvalidConfig(
+            f"alpha has {len(focal.alpha)} entries for {num_classes} classes")
+    return focal
+
+
 def _build_train_config(cfg: dict, train_set: data_mod.Dataset) -> train_mod.TrainConfig:
     if cfg["threads"] != 1:
         raise InvalidConfig(
             f"threads must be 1 (the engine is single-threaded), got {cfg['threads']!r}")
-    focal = loss_mod.FocalConfig(gamma=cfg["gamma"],
-                                 alpha=_resolve_alpha(cfg["alpha"], train_set))
+    focal = _focal_config(cfg["gamma"], _resolve_alpha(cfg["alpha"], train_set),
+                          len(train_set.class_names))
     # validate augmentation fields up front even when augmentation is off
     augment_cfg = data_mod.AugmentConfig(
         hflip_prob=cfg["hflip_prob"],
@@ -164,10 +172,17 @@ def _build_train_config(cfg: dict, train_set: data_mod.Dataset) -> train_mod.Tra
 def _positive_classes(cfg_value, class_names: list[str]) -> list[int]:
     if cfg_value is None:
         return metrics_mod.default_positive_classes(class_names)
+    k = len(class_names)
     for item in cfg_value:
         if isinstance(item, str) and item not in class_names:
             raise InvalidConfig(f"unknown positive class name {item!r}")
-    return [class_names.index(i) if isinstance(i, str) else i for i in cfg_value]
+        if isinstance(item, int) and not 0 <= item < k:
+            raise InvalidConfig(f"positive class index {item} is outside [0, {k})")
+    indices = [class_names.index(i) if isinstance(i, str) else i for i in cfg_value]
+    if not 0 < len(set(indices)) < k:
+        raise InvalidConfig("positive classes must be a non-empty proper subset"
+                            f" of the {k} classes")
+    return indices
 
 
 def _metrics_payload(split: str, mean_loss: float, cm, class_names: list[str],
@@ -278,9 +293,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     where = f"checkpoint sidecar of {args.checkpoint}"
     _check_config(ckpt.train_config or {}, where, CorruptCheckpoint, _SIDECAR_SCHEMA)
     trained = {k: d for k, (d, _) in _SIDECAR_SCHEMA.items()} | (ckpt.train_config or {})
-    if trained["loss_kind"] not in train_mod.LOSS_KINDS:
-        raise CorruptCheckpoint(
-            f"{where}: loss_kind must be one of {train_mod.LOSS_KINDS}")
     model = ckpt_mod.checkpoint_to_model(ckpt)
     dataset = data_mod.load_dataset(args.data, args.split)
     names = dataset.class_names
@@ -291,13 +303,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f" {ckpt.num_classes} classes {ckpt.class_names or ''}"
         )
 
+    try:  # a value out of range in the sidecar is the checkpoint's fault, not the config's
+        if trained["loss_kind"] not in train_mod.LOSS_KINDS:
+            raise InvalidConfig(f"loss_kind must be one of {train_mod.LOSS_KINDS}")
+        focal = _focal_config(trained["gamma"], trained["alpha_resolved"], len(names))
+        positives = _positive_classes(trained["positive_classes"], names)
+    except InvalidConfig as exc:
+        raise CorruptCheckpoint(f"{where}: {exc}") from exc
     loss_kind = args.loss or trained["loss_kind"]
-    gamma = args.gamma if args.gamma is not None else trained["gamma"]
-    alpha = trained["alpha_resolved"] if args.loss is None else None
-    focal = loss_mod.FocalConfig(gamma=gamma, alpha=alpha)
+    if args.loss is not None or args.gamma is not None:
+        focal = loss_mod.FocalConfig(gamma=focal.gamma if args.gamma is None else args.gamma,
+                                     alpha=None if args.loss else focal.alpha)
 
     mean_loss, _, cm = train_mod.evaluate(model, dataset, loss_kind, focal)
-    positives = _positive_classes(trained["positive_classes"], names)
     payload = _metrics_payload(args.split, mean_loss, cm, names, positives)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

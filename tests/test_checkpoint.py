@@ -1,8 +1,14 @@
+import functools
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lenetkit import checkpoint as ckpt_mod
 from lenetkit.checkpoint import (
     Checkpoint,
     checkpoint_to_model,
@@ -11,7 +17,7 @@ from lenetkit.checkpoint import (
     model_to_checkpoint,
     save_checkpoint,
 )
-from lenetkit.errors import CorruptCheckpoint, UnsupportedVersion
+from lenetkit.errors import CorruptCheckpoint, IoError, UnsupportedVersion
 from lenetkit.nn import init_params
 from lenetkit.train import evaluate
 
@@ -39,6 +45,23 @@ class TestCrc64:
     def test_known_vector(self):
         # CRC-64/XZ check value for "123456789"
         assert crc64(b"123456789") == 0x995DC9BBDF1939FA
+
+    def test_matches_bitwise_reference_at_lane_boundaries(self):
+        # lanes start at L bytes; the bytes past the last whole lane take the byte loop
+        lanes = ckpt_mod._CRC64_LANES
+        rng = np.random.default_rng(1)
+        for n in (0, 1, lanes - 1, lanes, lanes + 1, 2 * lanes - 1, 2 * lanes,
+                  2 * lanes + 1, 3 * lanes + lanes // 2, 5 * lanes + 7):
+            data = rng.integers(0, 256, size=n).astype(np.uint8).tobytes()
+            assert crc64(data) == crc64_bitwise(data), n
+            assert crc64(bytearray(data)) == crc64_bitwise(data), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 1 << 16), seed=st.integers(0, 2**32 - 1))
+def test_crc64_matches_bitwise_reference_on_random_bytes(n, seed):
+    data = np.random.default_rng(seed).integers(0, 256, size=n).astype(np.uint8).tobytes()
+    assert crc64(data) == crc64_bitwise(data)
 
 
 class TestRoundTrip:
@@ -78,6 +101,32 @@ class TestRoundTrip:
     def test_no_sidecar_without_metadata(self, tmp_path):
         save_checkpoint(tmp_path / "m.lnck", model_to_checkpoint(init_params(1)))
         assert not (tmp_path / "m.lnck.json").exists()
+
+    def test_metadata_free_save_removes_stale_sidecar(self, tmp_path):
+        path = tmp_path / "m.lnck"
+        save_checkpoint(path, model_to_checkpoint(init_params(3), class_names=["x", "y", "z"],
+                                                  train_config={"epochs": 5}))
+        save_checkpoint(path, model_to_checkpoint(init_params(4)))
+        loaded = load_checkpoint(path)
+        assert loaded.class_names is None and loaded.train_config is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.lnck"]
+
+    def test_failed_save_keeps_previous_files(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.lnck"
+        save_checkpoint(path, model_to_checkpoint(init_params(3), class_names=["x", "y", "z"]))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def write_half_then_fail(self, data):  # a full disk, part way through the binary
+            with open(self, "wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(IoError):
+            save_checkpoint(path, model_to_checkpoint(init_params(4), class_names=["a", "b", "c"]))
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert load_checkpoint(path).class_names == ["x", "y", "z"]
 
 
 class TestByteLayout:
@@ -167,3 +216,43 @@ class TestErrorPaths:
         )}
         with pytest.raises(CorruptCheckpoint):
             checkpoint_to_model(Checkpoint(num_classes=3, params=params))
+
+
+@functools.cache
+def _saved_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.lnck"
+        save_checkpoint(path, model_to_checkpoint(init_params(2)))
+        return path.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_single_byte_mutation_is_rejected(data):
+    raw = bytearray(_saved_checkpoint())
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    raw[pos] ^= data.draw(st.integers(1, 255))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.lnck"
+        path.write_bytes(bytes(raw))
+        with pytest.raises((CorruptCheckpoint, UnsupportedVersion)):
+            load_checkpoint(path)
+
+
+def test_resealed_single_byte_mutation_never_escapes(tmp_path):
+    # each byte of a small checkpoint set to each edge value (both extremes, the
+    # rank bounds 1 and 8, the UTF-8 lead and continuation ranges), with the CRC
+    # recomputed so that the structure checks behind it see the mutation
+    path = tmp_path / "tiny.lnck"
+    save_checkpoint(path, Checkpoint(num_classes=2, params={
+        "w": np.ones((2, 3)), "b": np.ones(1)}))
+    body = path.read_bytes()[:-8]
+    for pos in range(len(body)):
+        for value in (0x00, 0x01, 0x07, 0x08, 0x09, 0x7F, 0x80, 0xBF, 0xC0, 0xFF):
+            mutated = bytearray(body)
+            mutated[pos] = value
+            path.write_bytes(mutated + struct.pack("<Q", crc64(mutated)))
+            try:
+                load_checkpoint(path)
+            except (CorruptCheckpoint, UnsupportedVersion):
+                pass

@@ -140,6 +140,24 @@ class TestTrainCommand:
         assert code == 1
         assert not (tmp_path / "x").exists()  # no partial artifacts
 
+    @pytest.mark.parametrize("cfg", [
+        {"positive_classes": [7]},
+        {"positive_classes": [-1]},
+        {"positive_classes": [0, 1, 2]},
+        {"positive_classes": []},
+        {"loss_kind": "focal", "alpha": [2.0]},
+    ], ids=["index-past-end", "negative-index", "every-class", "no-class", "short-alpha"])
+    def test_class_count_ranges_checked_before_mkdir(self, synth_root, tmp_path, capsys,
+                                                      cfg):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        code = cli.main(["train", "--config", str(cfg_file), "--data", str(synth_root),
+                         "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "out")])
@@ -213,9 +231,16 @@ class TestEvaluateCommand:
         ("evaluate", with_train_config(loss_kind="hinge")),
         ("evaluate", with_train_config(alpha_resolved=["a"])),
         ("predict", lambda meta: {**meta, "final_record": 3}),
+        ("evaluate", with_train_config(gamma=-1)),
+        ("evaluate", with_train_config(alpha_resolved=[-1.0, 1.0, 1.0])),
+        ("evaluate", with_train_config(alpha_resolved=[1.0])),
+        ("evaluate", with_train_config(positive_classes=["nope"])),
+        ("evaluate", with_train_config(positive_classes=[3])),
     ], ids=["list-sidecar", "one-class-name", "renamed-classes", "list-train-config",
             "string-gamma", "int-positive-classes", "unknown-loss-kind",
-            "string-alpha-resolved", "int-final-record"])
+            "string-alpha-resolved", "int-final-record", "negative-gamma",
+            "negative-alpha-resolved", "short-alpha-resolved", "unknown-positive-class",
+            "positive-index-past-end"])
     def test_sidecar_disagreeing_with_data_is_data_error(
             self, synth_root, tmp_path, capsys, command, sidecar):
         out = tmp_path / "run"
@@ -231,6 +256,14 @@ class TestEvaluateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
         assert len(captured.err.splitlines()) == 1
+
+    def test_out_of_range_flag_is_config_error(self, synth_root, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_train(synth_root, out)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.lnck"),
+                         "--data", str(synth_root), "--gamma", "-1"]) == 1
+        assert "gamma" in capsys.readouterr().err
 
 
 class TestPredictCommand:
