@@ -26,11 +26,11 @@ model.
 
 Run metadata that is not part of the binary contract (class names, the
 training config echo, the final epoch record) travels in an optional JSON
-sidecar ``<path>.json``. Saving writes the binary and the sidecar each to a
-temporary file beside its target and renames both into place only once both
-are written, so a failed save leaves the previous files whole. A checkpoint
-without metadata removes any sidecar left at its path, so an old sidecar
-never describes a new binary.
+sidecar ``<path>.json``. Every run artifact (this pair, the curves, the
+metrics, the config echo) is written by ``write_atomic``: to temporary files
+beside the targets, renamed into place once all are written, so a failed
+write leaves the previous files whole. The same call removes a stale
+companion, such as the sidecar of a checkpoint saved without metadata.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, IoError, UnsupportedVersion
-from .nn import LeNetModel, Param, param_shapes
+from .errors import CorruptCheckpoint, InvalidShape, IoError, UnsupportedVersion
+from .nn import LeNetModel, Param
 
 MAGIC = b"LNCK"
 VERSION = 1
@@ -139,23 +139,46 @@ def model_to_checkpoint(model: LeNetModel, class_names=None, train_config=None,
 
 
 def checkpoint_to_model(ckpt: Checkpoint) -> LeNetModel:
-    """Rebuild a model, validating every declared name and shape."""
-    params: dict[str, Param] = {}
-    for name, shape in param_shapes(ckpt.num_classes):
-        if name not in ckpt.params:
-            raise CorruptCheckpoint(f"checkpoint is missing parameter {name!r}")
-        value = ckpt.params[name]
-        if value.shape != shape:
-            raise CorruptCheckpoint(
-                f"checkpoint parameter {name!r} has shape {value.shape},"
-                f" expected {shape}"
-            )
-        params[name] = Param(name, value.copy(), np.zeros(shape))
-    return LeNetModel(params, ckpt.num_classes)
+    """Rebuild a model; a name or shape the architecture does not declare is corrupt."""
+    params = {name: Param(name, value.copy(), np.zeros(value.shape))
+              for name, value in ckpt.params.items()}
+    try:
+        return LeNetModel(params, ckpt.num_classes)
+    except InvalidShape as exc:
+        raise CorruptCheckpoint(f"checkpoint does not fit the model: {exc}") from exc
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
+
+
+def json_bytes(obj) -> bytes:
+    """The artifact form of a JSON value: sorted keys, indent 2, closing newline."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def write_atomic(files: dict[Path, bytes | None]) -> None:
+    """Replace each target with its bytes, or remove it where they are ``None``.
+
+    Targets are renamed into place, in order, from ``<name>.<pid>.tmp`` files
+    only once every payload is written; no directory is created. An
+    ``OSError`` removes the temporaries and raises ``IoError`` naming the target.
+    """
+    temps = {target: target.with_name(f"{target.name}.{os.getpid()}.tmp")
+             for target, data in files.items() if data is not None}
+    try:
+        for target, temp in temps.items():
+            temp.write_bytes(files[target])
+        for target, data in files.items():
+            if data is None:
+                target.unlink(missing_ok=True)
+            else:
+                os.replace(temps[target], target)
+    except OSError as exc:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
+        raise IoError(f"cannot write {target}: {exc}") from exc
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -174,29 +197,9 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         buf += struct.pack(f"<{value.ndim}I", *value.shape)
         buf += np.ascontiguousarray(value, dtype="<f8").tobytes()
     buf += struct.pack("<Q", crc64(buf))
-    files = {path: buf}
-    meta = {
-        key: getattr(ckpt, key)
-        for key in ("class_names", "train_config", "final_record")
-        if getattr(ckpt, key) is not None
-    }
-    if meta:
-        files[_sidecar_path(path)] = (json.dumps(meta, indent=2, sort_keys=True)
-                                      + "\n").encode()
-    temps = {target: target.with_name(f"{target.name}.{os.getpid()}.tmp")
-             for target in files}
-    try:
-        for target, data in files.items():
-            temps[target].write_bytes(data)
-        for target, temp in temps.items():
-            os.replace(temp, target)
-        if not meta:
-            _sidecar_path(path).unlink(missing_ok=True)
-    except OSError as exc:
-        for temp in temps.values():
-            with contextlib.suppress(OSError):
-                temp.unlink(missing_ok=True)
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    meta = {key: value for key in ("class_names", "train_config", "final_record")
+            if (value := getattr(ckpt, key)) is not None}
+    write_atomic({path: buf, _sidecar_path(path): json_bytes(meta) if meta else None})
 
 
 class _Reader:

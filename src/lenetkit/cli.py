@@ -247,10 +247,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(cfg["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.echo.json").write_text(
-            json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
-        raise IoError(f"cannot write to output directory {out_dir}: {exc}") from exc
+        raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
+    ckpt_mod.write_atomic({out_dir / "config.echo.json": ckpt_mod.json_bytes(cfg)})
 
     diverged = False
     try:
@@ -272,14 +271,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         model, class_names=train_set.class_names,
         train_config=sidecar_cfg, final_record=final_record)
     ckpt_mod.save_checkpoint(out_dir / "checkpoint.lnck", ckpt)
-    try:
-        curves_mod.write_curves_csv(out_dir / "curves.csv", records)
-        if records:
-            (out_dir / "curves.svg").write_text(curves_mod.render_curves_svg(records))
-        (out_dir / "metrics.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write artifacts to {out_dir}: {exc}") from exc
+    csv = curves_mod.format_curves_csv(records).encode()
+    # a run with no epochs has nothing to plot, so an earlier run's figure goes
+    svg = curves_mod.render_curves_svg(records).encode() if records else None
+    ckpt_mod.write_atomic({out_dir / "curves.csv": csv, out_dir / "curves.svg": svg,
+                           out_dir / "metrics.json": ckpt_mod.json_bytes(payload)})
 
     if diverged:
         print("training diverged; wrote last good state", file=sys.stderr)
@@ -349,10 +345,8 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 
 
 def cmd_export_curves(args: argparse.Namespace) -> int:
-    try:
-        curves_mod.export_curves_svg(args.csv, args.svg)
-    except OSError as exc:
-        raise IoError(f"cannot write {args.svg}: {exc}") from exc
+    svg = curves_mod.render_curves_svg(curves_mod.read_curves_csv(args.csv))
+    ckpt_mod.write_atomic({Path(args.svg): svg.encode()})
     print(f"wrote {args.svg}", file=sys.stderr)
     return EXIT_OK
 

@@ -1,9 +1,12 @@
-"""Training-curve CSV persistence and standalone SVG rendering.
+"""Training-curve CSV formatting and parsing, and standalone SVG rendering.
 
 CSV layout: header ``epoch,train_loss,train_acc,val_loss,val_acc``, one row
 per epoch, reals printed with 6 significant digits. The SVG has two panels
 (loss left, accuracy right) with train curves dashed and validation curves
 solid, linear axes auto-ranged to the data.
+
+This module only formats and parses. The CLI replaces each file whole through
+``checkpoint.write_atomic``, and a run with no epochs removes a stale ``curves.svg``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ def format_curves_csv(records: list[EpochRecord]) -> str:
             f"{r.val_loss:.6g},{r.val_acc:.6g}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_curves_csv(path: str | Path, records: list[EpochRecord]) -> None:
-    Path(path).write_text(format_curves_csv(records))
 
 
 def read_curves_csv(path: str | Path) -> list[EpochRecord]:
@@ -149,8 +148,3 @@ def render_curves_svg(records: list[EpochRecord]) -> str:
         '</svg>',
     ]
     return "\n".join(svg) + "\n"
-
-
-def export_curves_svg(csv_path: str | Path, svg_path: str | Path) -> None:
-    records = read_curves_csv(csv_path)
-    Path(svg_path).write_text(render_curves_svg(records))

@@ -1,12 +1,12 @@
 """Dataset ingestion, preprocessing, augmentation, and synthetic data.
 
 On-disk layout:  <root>/<split>/<class_name>/*.pgm  with binary (P5) PGM
-files, 8-bit grayscale. Class names are the sorted directory names and the
-label of a sample is its class position in that order, so loading is fully
-deterministic for a given tree.
+files, 8-bit grayscale (maxval 1..255, every sample at most maxval). Class
+names are the sorted directory names and the label of a sample is its class
+position in that order, so loading is fully deterministic for a given tree.
 
 Preprocessing maps every image to a [1, 32, 32] float64 tensor in [0, 1]:
-decode -> normalize (v / 255) -> bilinear resize.
+decode -> normalize (v / maxval) -> bilinear resize.
 
 The synthetic generator writes three trivially separable texture classes
 (horizontal stripes / vertical stripes / checkerboard) with seeded Gaussian
@@ -101,12 +101,13 @@ class AugmentConfig:
 # PGM codec (binary P5, maxval <= 255)
 # ---------------------------------------------------------------------------
 
-def decode_pgm(data: bytes) -> np.ndarray:
-    """Decode binary PGM bytes into an H x W uint8 array.
+def decode_pgm(data: bytes) -> tuple[np.ndarray, int]:
+    """Decode binary PGM bytes into an H x W uint8 array and its maxval.
 
-    Header comments (``#`` to end of line) may appear between tokens. After
-    the maxval token exactly one whitespace byte separates header and pixel
-    payload.
+    Header comments (``#`` to end of line) may appear between tokens, and
+    the numbers are ASCII decimal digits. After the maxval token exactly one
+    whitespace byte separates header and pixel payload; no sample may exceed
+    maxval.
     """
     pos = 0
 
@@ -132,11 +133,12 @@ def decode_pgm(data: bytes) -> np.ndarray:
     magic = next_token()
     if magic != b"P5":
         raise ImageDecodeError(f"not a binary PGM (magic {magic!r}, expected b'P5')")
+    numbers = [next_token() for _ in range(3)]
+    if not b"".join(numbers).isdigit():  # int() also takes "+4" and "1_0"
+        raise ImageDecodeError(f"non-decimal PGM header numbers {b' '.join(numbers)!r}")
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
+        width, height, maxval = map(int, numbers)
+    except ValueError as exc:  # more digits than int() parses
         raise ImageDecodeError(f"malformed PGM header: {exc}") from exc
     if width < 1 or height < 1:
         raise ImageDecodeError(f"bad PGM dimensions {width}x{height}")
@@ -151,18 +153,23 @@ def decode_pgm(data: bytes) -> np.ndarray:
             f"PGM payload truncated: expected {width * height} bytes,"
             f" got {len(payload)}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    if maxval < 255 and pixels.max() > maxval:
+        raise ImageDecodeError(f"PGM sample {pixels.max()} exceeds maxval {maxval}")
+    return pixels, maxval
 
 
 def encode_pgm(img: np.ndarray, maxval: int = 255) -> bytes:
-    """Encode an H x W uint8 array as binary PGM."""
+    """Encode an H x W array of integers in [0, maxval] as binary PGM."""
     img = np.asarray(img)
-    if img.ndim != 2:
-        raise InvalidShape(f"PGM encoder expects H x W, got shape {img.shape}")
-    if img.dtype != np.uint8:
+    if img.ndim != 2 or img.size == 0:
+        raise InvalidShape(f"PGM encoder expects a non-empty H x W, got {img.shape}")
+    if not 0 < maxval <= 255:
+        raise InvalidShape(f"PGM maxval {maxval} does not fit 1-byte samples (1..255)")
+    if img.dtype != np.uint8 or maxval < 255:  # any uint8 fits maxval 255
         if img.min() < 0 or img.max() > maxval:
-            raise InvalidShape("pixel values out of range for 8-bit PGM")
-        img = img.astype(np.uint8)
+            raise InvalidShape(f"pixel values out of range [0, {maxval}] for PGM")
+    img = img.astype(np.uint8, copy=False)
     h, w = img.shape
     return b"P5\n%d %d\n%d\n" % (w, h, maxval) + img.tobytes(order="C")
 
@@ -171,9 +178,9 @@ def encode_pgm(img: np.ndarray, maxval: int = 255) -> bytes:
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def normalize(img: np.ndarray) -> np.ndarray:
-    """Map 8-bit intensities to [0, 1] via v / 255."""
-    return np.asarray(img, dtype=np.float64) / 255.0
+def normalize(img: np.ndarray, maxval: int = 255) -> np.ndarray:
+    """Map intensities in [0, maxval] to [0, 1] via v / maxval."""
+    return np.asarray(img, dtype=np.float64) / maxval
 
 
 def resize_bilinear(img: np.ndarray, out_h: int = TARGET_SIZE,
@@ -296,7 +303,7 @@ def load_image(path: str | Path) -> np.ndarray:
     except OSError as exc:
         raise ImageDecodeError(f"cannot read {path}: {exc}") from exc
     try:
-        resized = resize_bilinear(normalize(decode_pgm(raw)))
+        resized = resize_bilinear(normalize(*decode_pgm(raw)))
     except (ImageDecodeError, InvalidShape) as exc:  # e.g. a 1-pixel-high image
         raise ImageDecodeError(f"{path}: {exc}") from exc
     return resized[None, :, :]

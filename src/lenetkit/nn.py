@@ -70,16 +70,17 @@ class LeNetModel:
     """
 
     def __init__(self, params: dict[str, Param], num_classes: int):
-        expected = param_shapes(num_classes)
-        for name, shape in expected:
-            if name not in params:
-                raise InvalidShape(f"missing parameter {name!r}")
+        expected = dict(param_shapes(num_classes))
+        if params.keys() != expected.keys():
+            raise InvalidShape(f"parameters missing or unknown to the model:"
+                               f" {sorted(params.keys() ^ expected.keys())}")
+        for name, shape in expected.items():
             if params[name].value.shape != shape:
                 raise InvalidShape(
                     f"parameter {name!r} has shape {params[name].value.shape},"
                     f" expected {shape}"
                 )
-        self.params = {name: params[name] for name, _ in expected}
+        self.params = {name: params[name] for name in expected}
         self.num_classes = num_classes
 
     def param_list(self) -> list[Param]:

@@ -216,6 +216,13 @@ class TestErrorPaths:
         )}
         with pytest.raises(CorruptCheckpoint):
             checkpoint_to_model(Checkpoint(num_classes=3, params=params))
+        # a CRC-valid file whose tensors are all right but one too many
+        path = tmp_path / "extra.lnck"
+        ckpt = model_to_checkpoint(init_params(2))
+        ckpt.params["evil.extra"] = np.ones(3)
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CorruptCheckpoint, match="evil.extra"):
+            checkpoint_to_model(load_checkpoint(path))
 
 
 @functools.cache

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -34,6 +35,24 @@ def run_train(root, out, extra=()):
 
 def with_train_config(**changes):
     return lambda meta: {**meta, "train_config": {**meta["train_config"], **changes}}
+
+
+def fail_half_way_through(monkeypatch, name):
+    """Make the write of ``name``'s temporary file stop half way, as a full disk would."""
+    write_bytes = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        if not self.name.startswith(name + "."):
+            return write_bytes(self, data)
+        with open(self, "wb") as f:
+            f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+
+
+def file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 class TestGenSynthetic:
@@ -174,6 +193,32 @@ class TestTrainCommand:
         assert code == 3
         # last-good checkpoint still written
         assert (tmp_path / "run" / "checkpoint.lnck").is_file()
+
+    def test_zero_epoch_rerun_removes_stale_svg(self, synth_root, tmp_path):
+        out = tmp_path / "run"
+        assert run_train(synth_root, out) == 0
+        assert (out / "curves.svg").is_file()
+        assert run_train(synth_root, out, ("--epochs", "0")) == 0
+        assert sorted(file_bytes(out)) == ["checkpoint.lnck", "checkpoint.lnck.json",
+                                           "config.echo.json", "curves.csv", "metrics.json"]
+        assert (out / "curves.csv").read_text() == \
+            "epoch,train_loss,train_acc,val_loss,val_acc\n"
+
+    def test_failed_metrics_write_keeps_previous_files(self, synth_root, tmp_path,
+                                                       monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert run_train(synth_root, out) == 0
+        before = file_bytes(out)
+        capsys.readouterr()
+        fail_half_way_through(monkeypatch, "metrics.json")
+        assert run_train(synth_root, out, ("--epochs", "1")) == 2
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "metrics.json" in err
+        after = file_bytes(out)
+        assert sorted(after) == sorted(before)  # no temporary left behind
+        for name in ("curves.csv", "curves.svg", "metrics.json"):
+            assert after[name] == before[name], name
 
     def test_artifact_write_failure_is_io_error(self, synth_root, tmp_path, capsys):
         out = tmp_path / "run"
@@ -333,6 +378,23 @@ class TestExportCurves:
         assert code == 2
         assert not (tmp_path / "x.svg").exists()
 
+    def test_failed_export_keeps_previous_svg(self, tmp_path, monkeypatch, capsys):
+        csv_path = tmp_path / "one.csv"
+        svg_path = tmp_path / "one.svg"
+        header = "epoch,train_loss,train_acc,val_loss,val_acc\n"
+        csv_path.write_text(header + "1,0.5,0.6,0.7,0.4\n")
+        assert cli.main(["export-curves", "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 0
+        before = file_bytes(tmp_path)
+        csv_path.write_text(header + "1,0.5,0.6,0.7,0.4\n2,0.4,0.7,0.6,0.5\n")
+        before["one.csv"] = csv_path.read_bytes()
+        fail_half_way_through(monkeypatch, "one.svg")
+        assert cli.main(["export-curves", "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 2
+        monkeypatch.undo()
+        assert str(svg_path) in capsys.readouterr().err
+        assert file_bytes(tmp_path) == before
+
     def test_svg_into_missing_directory_is_io_error(self, tmp_path, capsys):
         csv_path = tmp_path / "one.csv"
         csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
@@ -448,3 +510,27 @@ def test_cli_import_loads_every_module():
         [sys.executable, "-c", "import sys, lenetkit.cli; print(*sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout.split()
     assert expected - set(loaded) == set()
+
+
+def test_only_the_atomic_writer_writes_files():
+    """Every run artifact reaches disk through ``checkpoint.write_atomic``.
+
+    ``data.gen_synthetic`` writes dataset inputs, not run artifacts, so it may
+    write its PGM files directly.
+    """
+    package = Path(cli.__file__).parent
+    writers, replacers = set(), set()
+    for module in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    where = f"{module.stem}.{fn.name}"
+                    if node.func.attr in ("write_text", "write_bytes"):
+                        writers.add(where)
+                    if node.func.attr == "replace" and \
+                            getattr(node.func.value, "id", None) == "os":
+                        replacers.add(where)
+    assert writers <= {"checkpoint.write_atomic", "data.gen_synthetic"}
+    assert replacers == {"checkpoint.write_atomic"}

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenetkit.data import (
     AugmentConfig,
@@ -12,6 +14,7 @@ from lenetkit.data import (
     encode_pgm,
     gen_synthetic,
     load_dataset,
+    load_image,
     normalize,
     resize_bilinear,
     synthetic_pattern,
@@ -27,11 +30,14 @@ from lenetkit.errors import (
 class TestPgmCodec:
     def test_decode_hand_example(self):
         data = b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64])
-        np.testing.assert_array_equal(decode_pgm(data), [[0, 128], [255, 64]])
+        pixels, maxval = decode_pgm(data)
+        np.testing.assert_array_equal(pixels, [[0, 128], [255, 64]])
+        assert maxval == 255
 
     def test_comments_skipped(self):
         data = b"P5\n# a comment\n2 1 # trailing\n255\n" + bytes([7, 9])
-        np.testing.assert_array_equal(decode_pgm(data), [[7, 9]])
+        pixels, _ = decode_pgm(data)
+        np.testing.assert_array_equal(pixels, [[7, 9]])
 
     def test_truncated_payload(self):
         with pytest.raises(ImageDecodeError):
@@ -56,11 +62,71 @@ class TestPgmCodec:
         for _ in range(20):
             h, w = rng.integers(1, 40, size=2)
             img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
-            np.testing.assert_array_equal(decode_pgm(encode_pgm(img)), img)
+            pixels, _ = decode_pgm(encode_pgm(img))
+            np.testing.assert_array_equal(pixels, img)
 
     def test_encode_rejects_bad_shapes(self):
         with pytest.raises(InvalidShape):
             encode_pgm(np.zeros((2, 2, 3), dtype=np.uint8))
+        with pytest.raises(InvalidShape):  # a 3x0 header that no decoder accepts
+            encode_pgm(np.zeros((0, 3), dtype=np.uint8))
+
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(ImageDecodeError, match="exceeds maxval"):
+            decode_pgm(b"P5\n2 1\n15\n" + bytes([15, 16]))
+        pixels, maxval = decode_pgm(b"P5\n2 1\n15\n" + bytes([0, 15]))
+        assert maxval == 15 and pixels.tolist() == [[0, 15]]
+
+    @pytest.mark.parametrize("header", [b"P5\n1_0 1\n255\n", b"P5\n+4 1\n255\n",
+                                        b"P5\n1 1\n2_55\n", b"P5\n1 -1\n255\n",
+                                        b"P5\n\xd9\xa1 1\n255\n"],
+                             ids=["underscore", "plus-sign", "underscore-maxval",
+                                  "minus-sign", "arabic-indic-digit"])
+    def test_header_numbers_are_ascii_decimal(self, header):
+        with pytest.raises(ImageDecodeError):
+            decode_pgm(header + bytes(255))
+
+    def test_encode_rejects_samples_above_maxval(self):
+        for img in (np.full((2, 2), 200, np.uint8), np.full((2, 2), 200)):
+            with pytest.raises(InvalidShape):
+                encode_pgm(img, maxval=15)
+
+    @pytest.mark.parametrize("maxval", [0, 256, 1000])
+    def test_encode_rejects_maxval_beyond_one_byte(self, maxval):
+        with pytest.raises(InvalidShape):
+            encode_pgm(np.zeros((2, 2), np.uint8), maxval=maxval)
+
+    def test_load_image_normalizes_by_maxval(self, tmp_path):
+        path = tmp_path / "white.pgm"
+        path.write_bytes(encode_pgm(np.full((4, 4), 15, np.uint8), maxval=15))
+        np.testing.assert_array_equal(load_image(path), np.ones((1, 32, 32)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=64) | st.builds(
+    lambda head, tail: head + tail,
+    st.sampled_from([b"P5", b"P5\n", b"P5 2 2", b"P5\n2 2\n", b"P5\n2 2\n3\n",
+                     b"P5 1 1 255 ", b"P5\n#c\n1 1\n9 "]),
+    st.binary(max_size=16)))
+def test_decode_arbitrary_bytes_raises_only_decode_error(data):
+    try:
+        pixels, maxval = decode_pgm(data)
+    except ImageDecodeError:
+        return
+    assert pixels.dtype == np.uint8 and 1 <= maxval <= 255
+    assert pixels.size and int(pixels.max()) <= maxval
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 9), st.integers(1, 9)))
+def test_encode_decode_round_trip_for_every_maxval(seed, shape):
+    rng = np.random.default_rng(seed)
+    for maxval in range(1, 256):
+        img = rng.integers(0, maxval + 1, size=shape).astype(np.uint8)
+        img.flat[0] = maxval
+        pixels, decoded_maxval = decode_pgm(encode_pgm(img, maxval=maxval))
+        np.testing.assert_array_equal(pixels, img)
+        assert decoded_maxval == maxval
 
 
 class TestResize:
