@@ -181,8 +181,8 @@ def write_atomic(files: dict[Path, bytes | None]) -> None:
         raise IoError(f"cannot write {target}: {exc}") from exc
 
 
-def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Write the binary checkpoint and its metadata sidecar, or remove a stale one."""
+def checkpoint_files(path: str | Path, ckpt: Checkpoint) -> dict[Path, bytes | None]:
+    """The binary's bytes and the sidecar's (``None``, to remove it, without metadata)."""
     path = Path(path)
     buf = bytearray()
     buf += MAGIC
@@ -199,7 +199,12 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     buf += struct.pack("<Q", crc64(buf))
     meta = {key: value for key in ("class_names", "train_config", "final_record")
             if (value := getattr(ckpt, key)) is not None}
-    write_atomic({path: buf, _sidecar_path(path): json_bytes(meta) if meta else None})
+    return {path: buf, _sidecar_path(path): json_bytes(meta) if meta else None}
+
+
+def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    """Write the binary checkpoint and its metadata sidecar, or remove a stale one."""
+    write_atomic(checkpoint_files(path, ckpt))
 
 
 class _Reader:
@@ -242,6 +247,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"checkpoint version {version} not supported (expected {VERSION})"
         )
     num_classes = r.u32()
+    if num_classes < 2:
+        raise CorruptCheckpoint(f"checkpoint {path} declares {num_classes} classes,"
+                                " need >= 2")
     param_count = r.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(param_count):

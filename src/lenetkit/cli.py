@@ -249,7 +249,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-    ckpt_mod.write_atomic({out_dir / "config.echo.json": ckpt_mod.json_bytes(cfg)})
 
     diverged = False
     try:
@@ -270,11 +269,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     ckpt = ckpt_mod.model_to_checkpoint(
         model, class_names=train_set.class_names,
         train_config=sidecar_cfg, final_record=final_record)
-    ckpt_mod.save_checkpoint(out_dir / "checkpoint.lnck", ckpt)
     csv = curves_mod.format_curves_csv(records).encode()
     # a run with no epochs has nothing to plot, so an earlier run's figure goes
     svg = curves_mod.render_curves_svg(records).encode() if records else None
-    ckpt_mod.write_atomic({out_dir / "curves.csv": csv, out_dir / "curves.svg": svg,
+    # one write for all six, so a run that stops before it leaves the last run's whole
+    ckpt_mod.write_atomic({out_dir / "config.echo.json": ckpt_mod.json_bytes(cfg),
+                           **ckpt_mod.checkpoint_files(out_dir / "checkpoint.lnck", ckpt),
+                           out_dir / "curves.csv": csv, out_dir / "curves.svg": svg,
                            out_dir / "metrics.json": ckpt_mod.json_bytes(payload)})
 
     if diverged:

@@ -8,6 +8,10 @@ position in that order, so loading is fully deterministic for a given tree.
 Preprocessing maps every image to a [1, 32, 32] float64 tensor in [0, 1]:
 decode -> normalize (v / maxval) -> bilinear resize.
 
+Training-time augmentation is one inverse affine map per sample (flip,
+rotation, shift), its bilinear taps gathered for a whole [B, 1, H, W] batch
+at once; pixels mapped from outside the frame take the fill value.
+
 The synthetic generator writes three trivially separable texture classes
 (horizontal stripes / vertical stripes / checkerboard) with seeded Gaussian
 noise, giving the test suite a dataset that any working training loop must
@@ -214,27 +218,38 @@ def resize_bilinear(img: np.ndarray, out_h: int = TARGET_SIZE,
 # augmentation
 # ---------------------------------------------------------------------------
 
-def _rotate_bilinear(img: np.ndarray, angle_deg: float, fill: float) -> np.ndarray:
-    """Rotate about the image center with bilinear resampling.
+def augment(pixels: np.ndarray, cfg: AugmentConfig, draws) -> np.ndarray:
+    """Flip, rotate about the center, then shift a [B, 1, H, W] batch in one map.
 
-    Out-of-frame source contributions take ``fill``.
+    ``draws[i]`` is sample i's RNG substream; it draws flip, angle, dy, dx in
+    that order whatever the config. Output (r, c) reads the rotated image at
+    (r - dy, c - dx); that point, or a bilinear tap of the flipped input, out
+    of frame takes ``fill_value``. An all-zero config returns the input.
     """
-    h, w = img.shape
-    theta = math.radians(angle_deg)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    b, _, h, w = pixels.shape
+    params = []
+    for draw in draws:
+        flip = draw.random() < cfg.hflip_prob
+        theta = math.radians(float(draw.uniform(-cfg.max_rotation_deg,
+                                                 cfg.max_rotation_deg)))
+        dy = int(draw.integers(-cfg.max_shift_px, cfg.max_shift_px + 1))
+        dx = int(draw.integers(-cfg.max_shift_px, cfg.max_shift_px + 1))
+        params.append((flip, math.cos(theta), math.sin(theta), dy, dx))
+    flip, cos_t, sin_t, dy, dx = (np.array(v)[:, None, None] for v in zip(*params))
+
+    # inverse map: output (r, c) <- rotated (rr, cc) <- source (src_r, src_c)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    dy, dx = rr - cy, cc - cx
-    # inverse map: where does each output pixel come from in the source
-    src_r = cy + dy * cos_t - dx * sin_t
-    src_c = cx + dy * sin_t + dx * cos_t
-
+    rr = np.arange(h)[None, :, None] - dy
+    cc = np.arange(w)[None, None, :] - dx
+    inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+    src_r = cy + (rr - cy) * cos_t - (cc - cx) * sin_t
+    src_c = cx + (rr - cy) * sin_t + (cc - cx) * cos_t
     r0 = np.floor(src_r).astype(np.int64)
     c0 = np.floor(src_c).astype(np.int64)
     tr, tc = src_r - r0, src_c - c0
 
-    out = np.zeros_like(img)
+    base = np.arange(b)[:, None, None] * (h * w)
+    out = np.zeros((b, h, w))
     for dr, dc, weight in (
         (0, 0, (1 - tr) * (1 - tc)),
         (0, 1, (1 - tr) * tc),
@@ -243,52 +258,11 @@ def _rotate_bilinear(img: np.ndarray, angle_deg: float, fill: float) -> np.ndarr
     ):
         r, c = r0 + dr, c0 + dc
         valid = (r >= 0) & (r < h) & (c >= 0) & (c < w)
-        out[valid] += weight[valid] * img[r[valid], c[valid]]
-        out[~valid] += weight[~valid] * fill
-    return out
-
-
-def _shift(img: np.ndarray, dy: int, dx: int, fill: float) -> np.ndarray:
-    """Integer translation; vacated pixels take ``fill``."""
-    h, w = img.shape
-    out = np.full_like(img, fill)
-    src_r = slice(max(0, -dy), min(h, h - dy))
-    src_c = slice(max(0, -dx), min(w, w - dx))
-    dst_r = slice(max(0, dy), min(h, h + dy))
-    dst_c = slice(max(0, dx), min(w, w + dx))
-    if src_r.start < src_r.stop and src_c.start < src_c.stop:
-        out[dst_r, dst_c] = img[src_r, src_c]
-    return out
-
-
-def augment(sample: Sample, cfg: AugmentConfig, draw: np.random.Generator) -> Sample:
-    """Apply flip -> rotate -> shift using the caller-supplied RNG substream.
-
-    All random variates are drawn in a fixed order regardless of which
-    transforms end up active, so streams stay aligned across configs. With
-    an all-zero config the output is the input, bit for bit.
-    """
-    flip = draw.random() < cfg.hflip_prob
-    angle = float(draw.uniform(-cfg.max_rotation_deg, cfg.max_rotation_deg))
-    dy = int(draw.integers(-cfg.max_shift_px, cfg.max_shift_px + 1))
-    dx = int(draw.integers(-cfg.max_shift_px, cfg.max_shift_px + 1))
-
-    img = sample.pixels[0]
-    changed = False
-    if flip:
-        img = img[:, ::-1]
-        changed = True
-    if angle != 0.0:
-        img = _rotate_bilinear(img, angle, cfg.fill_value)
-        changed = True
-    if dy != 0 or dx != 0:
-        img = _shift(img, dy, dx, cfg.fill_value)
-        changed = True
-    if not changed:
-        return sample
-    img = np.clip(img, 0.0, 1.0)
-    return Sample(pixels=img[None, :, :].copy(), label=sample.label,
-                  source_path=sample.source_path)
+        # the flip acts on the tap's column; invalid taps read a clipped index
+        tap = np.take(pixels, base + r * w + np.where(flip, w - 1 - c, c), mode="clip")
+        out += weight * np.where(valid, tap, cfg.fill_value)
+    out = np.where(inside, out, cfg.fill_value)
+    return np.clip(out, 0.0, 1.0)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ class FocalConfig:
             raise InvalidConfig(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.alpha is not None:
             self.alpha = np.asarray(self.alpha, dtype=np.float64)
-            if self.alpha.ndim != 1 or np.any(self.alpha <= 0.0):
-                raise InvalidConfig("alpha must be a 1-D vector of positive weights")
+            if (self.alpha.ndim != 1 or not np.isfinite(self.alpha).all()
+                    or (self.alpha <= 0.0).any()):
+                raise InvalidConfig("alpha must be a 1-D vector of finite positive weights")
 
 
 @dataclass

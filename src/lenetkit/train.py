@@ -1,13 +1,15 @@
 """SGD training loop, evaluation, and per-epoch records.
 
 One epoch = seeded shuffle -> mini-batches (last short batch kept) ->
+optional augmentation of the stacked batch in one ``data.augment`` call ->
 forward / loss / backward / sgd_step per batch -> full evaluation pass over
 the train and validation sets, yielding one EpochRecord.
 
 Determinism contract: a fixed seed gives bit-identical parameter
 trajectories and records across runs. Shuffling and per-sample augmentation
 draw from substreams keyed on (seed, epoch) and (seed, epoch, sample index),
-so augmentation noise is independent of shuffle order.
+so augmentation noise is independent of shuffle order and of which samples
+share a batch.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class TrainConfig:
             raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate >= 0.0:
+        if not 0.0 <= self.learning_rate < np.inf:
             raise InvalidConfig(
-                f"learning_rate must be >= 0, got {self.learning_rate}"
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
             )
         if self.loss_kind not in LOSS_KINDS:
             raise InvalidConfig(
@@ -156,15 +158,10 @@ def train(model: LeNetModel, train_set: data_mod.Dataset,
 
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
+            xb = _stack_pixels([train_set.samples[i] for i in idx])
             if cfg.augment is not None:
-                batch = [
-                    data_mod.augment(train_set.samples[i], cfg.augment,
-                                     _augment_rng(cfg.augment.seed, epoch, int(i)))
-                    for i in idx
-                ]
-                xb = _stack_pixels(batch)
-            else:
-                xb = _stack_pixels([train_set.samples[i] for i in idx])
+                xb = data_mod.augment(xb, cfg.augment, [
+                    _augment_rng(cfg.augment.seed, epoch, int(i)) for i in idx])
             _, trace = model_forward(model, xb)
             out = _compute_loss(trace.logits, labels[idx], cfg.loss_kind, cfg.focal)
             if not np.isfinite(out.mean_loss):

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenetkit import cli
+from lenetkit.checkpoint import Checkpoint, save_checkpoint
 from lenetkit.data import load_dataset
 from lenetkit.errors import DivergenceDetected
+from lenetkit.nn import param_shapes
 
 
 @pytest.fixture()
@@ -165,7 +167,11 @@ class TestTrainCommand:
         {"positive_classes": [0, 1, 2]},
         {"positive_classes": []},
         {"loss_kind": "focal", "alpha": [2.0]},
-    ], ids=["index-past-end", "negative-index", "every-class", "no-class", "short-alpha"])
+        {"loss_kind": "focal", "alpha": [float("nan"), 1.0, 1.0]},
+        {"loss_kind": "focal", "alpha": [float("inf"), 1.0, 1.0]},
+        {"learning_rate": float("inf")},
+    ], ids=["index-past-end", "negative-index", "every-class", "no-class", "short-alpha",
+            "nan-alpha", "infinite-alpha", "infinite-lr"])
     def test_class_count_ranges_checked_before_mkdir(self, synth_root, tmp_path, capsys,
                                                       cfg):
         cfg_file = tmp_path / "cfg.json"
@@ -217,8 +223,22 @@ class TestTrainCommand:
         assert err.startswith("error: ") and "metrics.json" in err
         after = file_bytes(out)
         assert sorted(after) == sorted(before)  # no temporary left behind
-        for name in ("curves.csv", "curves.svg", "metrics.json"):
+        for name in before:  # the checkpoint, its sidecar and the config echo too
             assert after[name] == before[name], name
+
+    def test_interrupted_rerun_keeps_previous_files(self, synth_root, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "run"
+        assert run_train(synth_root, out) == 0
+        before = file_bytes(out)
+
+        def interrupted_train(model, train_set, val_set, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.train_mod, "train", interrupted_train)
+        with pytest.raises(KeyboardInterrupt):
+            run_train(synth_root, out, ("--epochs", "500", "--lr", "0.05"))
+        assert file_bytes(out) == before
 
     def test_artifact_write_failure_is_io_error(self, synth_root, tmp_path, capsys):
         out = tmp_path / "run"
@@ -281,11 +301,12 @@ class TestEvaluateCommand:
         ("evaluate", with_train_config(alpha_resolved=[1.0])),
         ("evaluate", with_train_config(positive_classes=["nope"])),
         ("evaluate", with_train_config(positive_classes=[3])),
+        ("evaluate", with_train_config(alpha_resolved=[float("nan"), 1.0, 1.0])),
     ], ids=["list-sidecar", "one-class-name", "renamed-classes", "list-train-config",
             "string-gamma", "int-positive-classes", "unknown-loss-kind",
             "string-alpha-resolved", "int-final-record", "negative-gamma",
             "negative-alpha-resolved", "short-alpha-resolved", "unknown-positive-class",
-            "positive-index-past-end"])
+            "positive-index-past-end", "nan-alpha-resolved"])
     def test_sidecar_disagreeing_with_data_is_data_error(
             self, synth_root, tmp_path, capsys, command, sidecar):
         out = tmp_path / "run"
@@ -334,6 +355,19 @@ class TestPredictCommand:
                          "--image", str(bad)])
         assert code == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("num_classes", [0, 1])
+    def test_checkpoint_with_fewer_than_two_classes_is_data_error(
+            self, synth_root, tmp_path, capsys, num_classes):
+        path = tmp_path / "few.lnck"
+        save_checkpoint(path, Checkpoint(num_classes, {
+            name: np.zeros(shape) for name, shape in param_shapes(num_classes)}))
+        image = next((synth_root / "train" / "0_horizontal").glob("*.pgm"))
+        assert cli.main(["predict", "--checkpoint", str(path),
+                         "--image", str(image)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert len(captured.err.splitlines()) == 1 and "classes" in captured.err
 
     def test_one_pixel_high_image_is_data_error(self, synth_root, tmp_path, capsys):
         out = tmp_path / "run"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lenetkit.data import (
     AugmentConfig,
-    Sample,
     SYNTH_CLASS_DIRS,
     augment,
     decode_pgm,
@@ -184,56 +183,98 @@ class TestNormalize:
         assert np.all(np.diff(out.reshape(-1)) > 0)
 
 
-def _sample(pixels):
-    return Sample(pixels=pixels[None, :, :], label=1, source_path="mem")
+def _batch(pixels):
+    """A batch of one [1, 1, H, W] from an H x W image."""
+    return pixels[None, None, :, :]
+
+
+def _rngs(*seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+class _FixedDraw:
+    """A draw stream that never flips or shifts and always rotates by ``angle``."""
+
+    def __init__(self, angle):
+        self.angle = angle
+
+    def random(self):
+        return 1.0
+
+    def uniform(self, low, high):
+        return self.angle
+
+    def integers(self, low, high):
+        return 0
 
 
 class TestAugment:
     def test_identity_config_is_noop(self):
         rng = np.random.default_rng(4)
-        s = _sample(rng.uniform(size=(32, 32)))
+        x = _batch(rng.uniform(size=(32, 32)))
         cfg = AugmentConfig(hflip_prob=0.0, max_rotation_deg=0.0, max_shift_px=0)
-        out = augment(s, cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.pixels, s.pixels)
+        out = augment(x, cfg, _rngs(0))
+        np.testing.assert_array_equal(out, x)
 
     def test_hflip_and_involution(self):
         rng = np.random.default_rng(5)
-        s = _sample(rng.uniform(size=(32, 32)))
+        x = _batch(rng.uniform(size=(32, 32)))
         cfg = AugmentConfig(hflip_prob=1.0, max_rotation_deg=0.0, max_shift_px=0)
-        once = augment(s, cfg, np.random.default_rng(1))
-        np.testing.assert_array_equal(once.pixels[0], s.pixels[0][:, ::-1])
-        twice = augment(once, cfg, np.random.default_rng(2))
-        np.testing.assert_array_equal(twice.pixels, s.pixels)
+        once = augment(x, cfg, _rngs(1))
+        np.testing.assert_array_equal(once[0, 0], x[0, 0][:, ::-1])
+        twice = augment(once, cfg, _rngs(2))
+        np.testing.assert_array_equal(twice, x)
 
     def test_deterministic_per_stream(self):
         rng = np.random.default_rng(6)
-        s = _sample(rng.uniform(size=(32, 32)))
+        x = _batch(rng.uniform(size=(32, 32)))
         cfg = AugmentConfig(hflip_prob=0.5, max_rotation_deg=15.0, max_shift_px=2)
-        a = augment(s, cfg, np.random.default_rng(42))
-        b = augment(s, cfg, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.pixels, b.pixels)
+        a = augment(x, cfg, _rngs(42))
+        b = augment(x, cfg, _rngs(42))
+        np.testing.assert_array_equal(a, b)
 
     def test_output_stays_in_range_and_label_kept(self):
+        # augment sees pixels only (train takes labels by index), so what is
+        # kept is the input batch itself: it must come back unmodified
         rng = np.random.default_rng(7)
         cfg = AugmentConfig(hflip_prob=0.5, max_rotation_deg=30.0, max_shift_px=3)
         for i in range(10):
-            s = _sample(rng.uniform(size=(32, 32)))
-            out = augment(s, cfg, np.random.default_rng(i))
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
-            assert out.label == s.label
-            assert out.pixels.shape == (1, 32, 32)
+            x = _batch(rng.uniform(size=(32, 32)))
+            kept = x.copy()
+            out = augment(x, cfg, _rngs(i))
+            assert out.min() >= 0.0 and out.max() <= 1.0
+            np.testing.assert_array_equal(x, kept)
+            assert out.shape == (1, 1, 32, 32)
 
     def test_shift_fills_with_zeros(self):
-        s = _sample(np.ones((32, 32)))
+        x = _batch(np.ones((32, 32)))
         cfg = AugmentConfig(hflip_prob=0.0, max_rotation_deg=0.0, max_shift_px=2)
         # draw until the shift is nonzero; the vacated border must be 0
         for seed in range(20):
-            out = augment(s, cfg, np.random.default_rng(seed))
-            if not np.array_equal(out.pixels, s.pixels):
-                assert out.pixels.min() == 0.0
+            out = augment(x, cfg, _rngs(seed))
+            if not np.array_equal(out, x):
+                assert out.min() == 0.0
                 break
         else:
             pytest.fail("no nonzero shift drawn in 20 streams")
+
+    @pytest.mark.parametrize("fill", [0.0, 0.37])
+    def test_batch_equals_samples_one_at_a_time(self, fill):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(16, 1, 32, 32))
+        cfg = AugmentConfig(hflip_prob=0.5, max_rotation_deg=180.0, max_shift_px=6,
+                            fill_value=fill)
+        batched = augment(x, cfg, _rngs(*range(16)))
+        singles = np.concatenate([augment(x[i:i + 1], cfg, _rngs(i)) for i in range(16)])
+        assert batched.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("angle, quarter_turns", [(90.0, -1), (-90.0, 1), (180.0, 2)])
+    def test_right_angle_rotation_matches_rot90(self, angle, quarter_turns):
+        img = np.random.default_rng(9).uniform(size=(32, 32))
+        cfg = AugmentConfig(hflip_prob=0.0, max_rotation_deg=180.0, max_shift_px=0)
+        out = augment(_batch(img), cfg, [_FixedDraw(angle)])
+        np.testing.assert_allclose(out[0, 0], np.rot90(img, quarter_turns),
+                                   rtol=0, atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
