@@ -45,7 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, InvalidShape, IoError, UnsupportedVersion
+from .errors import (CorruptCheckpoint, InvalidShape, IoError, UnsupportedVersion,
+                     read_input, read_json)
 from .nn import LeNetModel, Param
 
 MAGIC = b"LNCK"
@@ -225,10 +226,7 @@ class _Reader:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
+    raw = read_input(path, CorruptCheckpoint)
     if len(raw) < len(MAGIC) + 4 + 4 + 4 + 8:
         raise CorruptCheckpoint(f"checkpoint {path} too short")
     if raw[:4] != MAGIC:
@@ -273,14 +271,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     ckpt = Checkpoint(num_classes=num_classes, params=params, version=version)
     sidecar = _sidecar_path(path)
     if sidecar.is_file():
-        try:
-            meta = json.loads(sidecar.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptCheckpoint(
-                f"checkpoint sidecar {sidecar} unreadable: {exc}"
-            ) from exc
-        if not isinstance(meta, dict):
-            raise CorruptCheckpoint(f"checkpoint sidecar {sidecar} is not an object")
+        meta = read_json(sidecar, CorruptCheckpoint)
         names = meta.get("class_names")
         if names is not None and (not isinstance(names, list) or len(names) != num_classes
                                   or not all(isinstance(n, str) for n in names)):

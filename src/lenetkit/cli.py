@@ -6,9 +6,10 @@ flat snake_case keys; command-line flags override file values, and the
 effective configuration is echoed to ``config.echo.json`` in the output
 directory for reproducibility.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-divergence. Diagnostics go to stderr; stdout carries only declared JSON
-output (evaluate, predict).
+Exit codes: 0 success, else the ``exit_code`` of the error type raised (see
+``errors``): 1 usage/config error, 2 data error, 3 numeric divergence. A
+failure prints one ``error:`` line to stderr; stdout carries only declared
+JSON output (evaluate, predict).
 """
 
 from __future__ import annotations
@@ -29,27 +30,11 @@ from . import data as data_mod
 from . import loss as loss_mod
 from . import metrics as metrics_mod
 from . import train as train_mod
-from .errors import (
-    CorruptCheckpoint,
-    CurvesFormatError,
-    DatasetNotFound,
-    DivergenceDetected,
-    EmptyDataset,
-    EngineError,
-    ImageDecodeError,
-    InvalidConfig,
-    IoError,
-    UnsupportedVersion,
-)
+from .errors import (CorruptCheckpoint, DatasetNotFound, DivergenceDetected, EngineError,
+                     InvalidConfig, IoError, read_json)
 from .nn import init_params, model_forward
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_DATA = 2
-EXIT_DIVERGED = 3
-
-_DATA_ERRORS = (DatasetNotFound, ImageDecodeError, EmptyDataset, IoError,
-                CorruptCheckpoint, UnsupportedVersion, CurvesFormatError)
 
 # key -> (default, JSON type); ranges are checked by the dataclasses the values build
 CONFIG_SCHEMA = {
@@ -75,18 +60,14 @@ CONFIG_SCHEMA = {
 _SIDECAR_SCHEMA = {**CONFIG_SCHEMA, "alpha_resolved": (None, list[float])}
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _has_type(value, kind) -> bool:
-    """JSON type test: a bool is not an int, and an int is a float."""
+    """JSON type test: a bool is not an int, and an int in float range is a float."""
     if isinstance(kind, types.UnionType):
         return any(_has_type(value, k) for k in kind.__args__)
     if isinstance(kind, types.GenericAlias):  # list[item]
         return type(value) is list and all(_has_type(v, kind.__args__[0]) for v in value)
-    return type(value) is kind or (kind is float and type(value) is int)
+    return type(value) is kind or (kind is float and type(value) is int
+                                   and abs(value) <= sys.float_info.max)
 
 
 def _check_config(cfg: dict, where: str, error: type[EngineError],
@@ -102,14 +83,7 @@ def _check_config(cfg: dict, where: str, error: type[EngineError],
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InvalidConfig("config file must contain a JSON object")
+    raw = read_json(path, InvalidConfig)
     _check_config(raw, f"config file {path}", InvalidConfig)
     return raw
 
@@ -247,16 +221,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(cfg["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in a config file's out_dir
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
 
-    diverged = False
+    diverged = None
     try:
         records, model = train_mod.train(model, train_set, val_set, tcfg)
     except DivergenceDetected as exc:
-        print(f"warning: {exc}", file=sys.stderr)
-        records = exc.records
-        diverged = True
+        records, diverged = exc.records, exc
 
     final_record = asdict(records[-1]) if records else None
     val_loss, _, cm = train_mod.evaluate(model, val_set, tcfg.loss_kind, tcfg.focal)
@@ -278,9 +250,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                            out_dir / "curves.csv": csv, out_dir / "curves.svg": svg,
                            out_dir / "metrics.json": ckpt_mod.json_bytes(payload)})
 
-    if diverged:
-        print("training diverged; wrote last good state", file=sys.stderr)
-        return EXIT_DIVERGED
+    if diverged:  # exit 3 with one line, now that the last good state is written
+        raise diverged
     print(f"wrote checkpoint and curves to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
@@ -414,18 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except InvalidConfig as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except _DATA_ERRORS as exc:
-        return _fail(str(exc), EXIT_DATA)
-    except DivergenceDetected as exc:
-        return _fail(str(exc), EXIT_DIVERGED)
     except EngineError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

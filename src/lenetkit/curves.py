@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import CurvesFormatError
+from .errors import CurvesFormatError, read_input
 from .train import EpochRecord
 
 CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
@@ -31,9 +31,9 @@ def format_curves_csv(records: list[EpochRecord]) -> str:
 
 def read_curves_csv(path: str | Path) -> list[EpochRecord]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CurvesFormatError(f"cannot read curves file {path}: {exc}") from exc
+        text = read_input(path, CurvesFormatError).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CurvesFormatError(f"curves file {path} is not UTF-8: {exc}") from exc
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CurvesFormatError(
@@ -68,8 +68,9 @@ _GAP = 40
 
 def _auto_range(values):
     lo, hi = min(values), max(values)
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
+    if hi <= lo:  # a flat curve; past 2**39 a half unit would vanish in rounding
+        half = max(0.5, abs(lo) / 2**40)
+        lo, hi = lo - half, hi + half
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
 

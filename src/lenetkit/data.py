@@ -33,6 +33,7 @@ from .errors import (
     InvalidConfig,
     InvalidShape,
     IoError,
+    read_input,
 )
 
 log = logging.getLogger(__name__)
@@ -95,8 +96,9 @@ class AugmentConfig:
             raise InvalidConfig(
                 f"max_rotation_deg must be in [0,180], got {self.max_rotation_deg}"
             )
-        if self.max_shift_px < 0:
-            raise InvalidConfig(f"max_shift_px must be >= 0, got {self.max_shift_px}")
+        if not 0 <= self.max_shift_px <= np.iinfo(np.int64).max:
+            raise InvalidConfig(
+                f"max_shift_px must be in [0, 2**63 - 1], got {self.max_shift_px}")
         if not 0.0 <= self.fill_value <= 1.0:
             raise InvalidConfig(f"fill_value must be in [0,1], got {self.fill_value}")
 
@@ -271,11 +273,7 @@ def augment(pixels: np.ndarray, cfg: AugmentConfig, draws) -> np.ndarray:
 
 def load_image(path: str | Path) -> np.ndarray:
     """Decode + normalize + resize one PGM file to [1, 32, 32] in [0, 1]."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ImageDecodeError(f"cannot read {path}: {exc}") from exc
+    raw = read_input(path, ImageDecodeError)
     try:
         resized = resize_bilinear(normalize(*decode_pgm(raw)))
     except (ImageDecodeError, InvalidShape) as exc:  # e.g. a 1-pixel-high image
@@ -296,14 +294,17 @@ def load_dataset(root_dir: str | Path, split_name: str) -> Dataset:
         raise DatasetNotFound(f"dataset root {root} does not exist")
     if not split_dir.is_dir():
         raise DatasetNotFound(f"split directory {split_dir} does not exist")
-    class_dirs = sorted(p for p in split_dir.iterdir() if p.is_dir())
+    try:
+        class_dirs = sorted(p for p in split_dir.iterdir() if p.is_dir())
+        class_files = [sorted(class_dir.glob("*.pgm")) for class_dir in class_dirs]
+    except OSError as exc:
+        raise DatasetNotFound(f"cannot list {split_dir}: {exc}") from exc
     if not class_dirs:
         raise DatasetNotFound(f"no class directories under {split_dir}")
     class_names = [p.name for p in class_dirs]
 
     samples: list[Sample] = []
-    for label, class_dir in enumerate(class_dirs):
-        files = sorted(class_dir.glob("*.pgm"))
+    for label, (class_dir, files) in enumerate(zip(class_dirs, class_files)):
         if not files:
             log.warning("class directory %s contains no .pgm files", class_dir)
         for f in files:

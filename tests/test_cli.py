@@ -3,9 +3,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenetkit import cli
-from lenetkit.checkpoint import Checkpoint, save_checkpoint
+from lenetkit import cli, errors
+from lenetkit.checkpoint import Checkpoint, model_to_checkpoint, save_checkpoint
 from lenetkit.data import load_dataset
 from lenetkit.errors import DivergenceDetected
-from lenetkit.nn import param_shapes
+from lenetkit.nn import init_params, param_shapes
 
 
 @pytest.fixture()
@@ -170,8 +172,13 @@ class TestTrainCommand:
         {"loss_kind": "focal", "alpha": [float("nan"), 1.0, 1.0]},
         {"loss_kind": "focal", "alpha": [float("inf"), 1.0, 1.0]},
         {"learning_rate": float("inf")},
+        {"gamma": 10**400},
+        {"loss_kind": "focal", "alpha": [10**400, 1, 1]},
+        {"learning_rate": 10**400},
+        {"max_shift_px": 10**30, "augment": True},
     ], ids=["index-past-end", "negative-index", "every-class", "no-class", "short-alpha",
-            "nan-alpha", "infinite-alpha", "infinite-lr"])
+            "nan-alpha", "infinite-alpha", "infinite-lr", "int-beyond-float-gamma",
+            "int-beyond-float-alpha", "int-beyond-float-lr", "shift-beyond-int64"])
     def test_class_count_ranges_checked_before_mkdir(self, synth_root, tmp_path, capsys,
                                                       cfg):
         cfg_file = tmp_path / "cfg.json"
@@ -190,13 +197,26 @@ class TestTrainCommand:
         assert not (tmp_path / "out").exists()
         assert "error" in capsys.readouterr().err
 
-    def test_divergence_exit_code(self, synth_root, tmp_path, monkeypatch):
+    def test_unlistable_dataset_is_data_error(self, synth_root, tmp_path, monkeypatch,
+                                              capsys):
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "iterdir", denied)  # file modes do not stop root
+        assert run_train(synth_root, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Permission denied" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_divergence_exit_code(self, synth_root, tmp_path, monkeypatch, capsys):
         def exploding_train(model, train_set, val_set, cfg):
             raise DivergenceDetected("boom", records=[])
 
         monkeypatch.setattr(cli.train_mod, "train", exploding_train)
         code = run_train(synth_root, tmp_path / "run")
         assert code == 3
+        assert capsys.readouterr().err == "error: boom\n"
         # last-good checkpoint still written
         assert (tmp_path / "run" / "checkpoint.lnck").is_file()
 
@@ -239,6 +259,15 @@ class TestTrainCommand:
         with pytest.raises(KeyboardInterrupt):
             run_train(synth_root, out, ("--epochs", "500", "--lr", "0.05"))
         assert file_bytes(out) == before
+
+    def test_nul_in_config_out_dir_is_io_error(self, synth_root, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "a\0b")}))
+        assert cli.main(["train", "--config", str(cfg_file), "--data", str(synth_root),
+                         "--epochs", "1", "--batch-size", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert len(err.splitlines()) == 1
 
     def test_artifact_write_failure_is_io_error(self, synth_root, tmp_path, capsys):
         out = tmp_path / "run"
@@ -404,6 +433,18 @@ class TestExportCurves:
                          "--svg", str(svg_path)]) == 0
         ET.parse(svg_path)
 
+    def test_flat_curve_of_huge_values(self, tmp_path):
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                            "1,1e+300,0.5,1e+300,0.5\n2,1e+300,0.5,1e+300,0.5\n")
+        svg_path = tmp_path / "huge.svg"
+        assert cli.main(["export-curves", "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 0
+        svg = ET.parse(svg_path).getroot()
+        for line in svg.iter("{http://www.w3.org/2000/svg}polyline"):
+            ys = [float(point.split(",")[1]) for point in line.attrib["points"].split()]
+            assert len(set(ys)) == 1 and all(np.isfinite(ys))
+
     def test_malformed_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,curves,file\n1,2,3,4\n")
@@ -568,3 +609,118 @@ def test_only_the_atomic_writer_writes_files():
                         replacers.add(where)
     assert writers <= {"checkpoint.write_atomic", "data.gen_synthetic"}
     assert replacers == {"checkpoint.write_atomic"}
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe{", b"[" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("command, code", [("train", 1), ("predict", 2), ("evaluate", 2),
+                                           ("export-curves", 2)])
+def test_unreadable_input_exits_with_one_line(synth_root, tmp_path, capsys, payload,
+                                              command, code):
+    """The payload is the config file, the checkpoint sidecar or the curves CSV."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(payload)
+    ckpt = tmp_path / "model.lnck"
+    save_checkpoint(ckpt, model_to_checkpoint(init_params(0, 3)))
+    (tmp_path / "model.lnck.json").write_bytes(payload)
+    image = next((synth_root / "train" / "0_horizontal").glob("*.pgm"))
+    argv = {
+        "train": ["--config", str(bad), "--data", str(synth_root),
+                  "--out", str(tmp_path / "out")],
+        "predict": ["--checkpoint", str(ckpt), "--image", str(image)],
+        "evaluate": ["--checkpoint", str(ckpt), "--data", str(synth_root)],
+        "export-curves": ["--csv", str(bad), "--svg", str(tmp_path / "x.svg")],
+    }[command]
+    assert cli.main([command, *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists() and not (tmp_path / "x.svg").exists()
+
+
+def test_exit_codes_match_readme():
+    """Each error type's ``exit_code`` is the one the README lists it under."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listing = readme.split("\nExit codes", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for code, text in re.findall(r"^- (\d): (.*?)(?=^- |\Z)", listing, re.M | re.S):
+        for name in re.findall(r"`(\w+)`", text):
+            if isinstance(getattr(errors, name, None), type):
+                documented[name] = int(code)
+    classes, todo = {}, [errors.EngineError]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__ == errors.__name__:
+            classes[cls.__name__] = cls.exit_code
+            todo += cls.__subclasses__()
+    assert documented == classes
+
+
+def test_only_the_reader_reads_files():
+    """Every file the engine reads is read by ``errors.read_input``."""
+    package = Path(cli.__file__).parent
+    readers = set()
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        owner = {}  # node -> innermost enclosing function; ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner |= dict.fromkeys(ast.walk(fn), fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) in (
+                    "read_bytes", "read_text", "open"):
+                readers.add(f"{module.stem}.{owner.get(node, '<module>')}")
+    assert readers == {"errors.read_input"}
+
+
+# Well-typed config values drawn from the schema's JSON types: mostly in range, but
+# with integers far beyond what a float or an int64 holds and floats including NaN
+# and infinities.
+_INTS = st.integers(0, 3) | st.just(1) | st.integers(-10**400, 10**400)
+_WELL_TYPED = {
+    int: _INTS,
+    float: st.floats(0, 1) | st.floats() | _INTS,
+    bool: st.booleans(),
+    str: st.sampled_from(["cross_entropy", "focal", "inverse_frequency", "0_horizontal"])
+    | st.text(max_size=4),
+}
+
+
+def well_typed(kind):
+    if isinstance(kind, types.UnionType):
+        return st.one_of([well_typed(k) for k in kind.__args__])
+    if isinstance(kind, types.GenericAlias):  # list[item]
+        return st.lists(well_typed(kind.__args__[0]), max_size=4)
+    return _WELL_TYPED[kind]
+
+
+@pytest.fixture(scope="module")
+def tiny_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny") / "data"
+    assert cli.main(["gen-synthetic", "--out", str(root), "--n-per-class", "2"]) == 0
+    return root
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=st.fixed_dictionaries({}, optional={
+           key: st.none() | well_typed(kind) if default is None else well_typed(kind)
+           for key, (default, kind) in cli.CONFIG_SCHEMA.items()}),
+       epochs=st.sampled_from(["0", "1"]),
+       batch_size=st.sampled_from(["1", "2", "6"]),
+       flags=st.lists(st.sampled_from([("--augment",), ("--loss", "focal"),
+                                       ("--lr", "1e300")]), unique=True))
+def test_train_exits_0_to_3_with_one_error_line(tiny_root, cfg, epochs, batch_size, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):  # the flags override a drawn data_root/out_dir
+            code = cli.main(["train", "--config", str(cfg_file), "--data", str(tiny_root),
+                             "--out", str(Path(tmp) / "out"), "--epochs", epochs,
+                             "--batch-size", batch_size,
+                             *(arg for flag in flags for arg in flag)])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().startswith("error: ")
+            assert len(err.getvalue().splitlines()) == 1
