@@ -215,6 +215,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise InvalidConfig(f"need >= 2 classes, found {num_classes}")
 
     tcfg = _build_train_config(cfg, train_set)
+    train_mod.check_sets(train_set, val_set, tcfg.batch_size)
     positives = _positive_classes(cfg["positive_classes"], train_set.class_names)
     model = init_params(cfg["seed"], num_classes)
 

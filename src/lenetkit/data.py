@@ -6,7 +6,8 @@ names are the sorted directory names and the label of a sample is its class
 position in that order, so loading is fully deterministic for a given tree.
 
 Preprocessing maps every image to a [1, 32, 32] float64 tensor in [0, 1]:
-decode -> normalize (v / maxval) -> bilinear resize.
+decode -> normalize (v / maxval) -> bilinear resize, files decoded in order and
+runs of same-shape images resized in one call under a fixed pixel budget.
 
 Training-time augmentation is one inverse affine map per sample (flip,
 rotation, shift), its bilinear taps gathered for a whole [B, 1, H, W] batch
@@ -48,6 +49,9 @@ SYNTH_CLASS_DIRS = ("0_horizontal", "1_vertical", "2_checker")
 # quickly. At 32x32 generation the same patterns train far more slowly.
 SYNTH_IMAGE_SIZE = 12
 SYNTH_NOISE_SIGMA = 16.0  # gray levels
+# Source plus output pixels resized in one call (512 KB as float64): 56
+# 12x12 images share a call, while a 512x512 slice is resized alone.
+LOAD_RUN_PIXELS = 1 << 16
 
 
 @dataclass
@@ -184,23 +188,30 @@ def encode_pgm(img: np.ndarray, maxval: int = 255) -> bytes:
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def normalize(img: np.ndarray, maxval: int = 255) -> np.ndarray:
-    """Map intensities in [0, maxval] to [0, 1] via v / maxval."""
-    return np.asarray(img, dtype=np.float64) / maxval
+def normalize(img: np.ndarray, maxval: int | np.ndarray = 255) -> np.ndarray:
+    """Map [0, maxval] to [0, 1] as v / maxval in one new buffer; maxval may broadcast."""
+    out = np.array(img, dtype=np.float64)
+    out /= maxval
+    return out
+
+
+def _check_resizable(shape: tuple[int, ...]) -> None:
+    if len(shape) < 2 or shape[-2] < 2 or shape[-1] < 2:
+        raise InvalidShape(f"resize needs an H x W image with H, W >= 2, got {shape}")
 
 
 def resize_bilinear(img: np.ndarray, out_h: int = TARGET_SIZE,
                     out_w: int = TARGET_SIZE) -> np.ndarray:
-    """Bilinear resize with the half-pixel-center convention.
+    """Bilinear resize of the last two axes of ``img`` [..., H, W].
 
-    Source coordinate for output row i is (i + 0.5) * H / out_h - 0.5,
-    clamped into [0, H-1]; same along columns. At equal sizes this is an
-    exact identity, and outputs always stay within [min(img), max(img)].
+    Half-pixel-center convention: the source coordinate for output row i is
+    (i + 0.5) * H / out_h - 0.5, clamped into [0, H-1]; same along columns.
+    At equal sizes this is an exact identity, and outputs always stay within
+    [min(img), max(img)]. A batch gives each image the bits it gets alone.
     """
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
-        raise InvalidShape(f"resize needs an H x W image with H, W >= 2, got {img.shape}")
-    h, w = img.shape
+    _check_resizable(img.shape)
+    h, w = img.shape[-2:]
 
     src_r = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     src_c = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
@@ -210,9 +221,10 @@ def resize_bilinear(img: np.ndarray, out_h: int = TARGET_SIZE,
     c1 = np.minimum(c0 + 1, w - 1)
     tr = (src_r - r0)[:, None]
     tc = (src_c - c0)[None, :]
+    r0, r1 = r0[:, None], r1[:, None]
 
-    top = img[np.ix_(r0, c0)] * (1.0 - tc) + img[np.ix_(r0, c1)] * tc
-    bottom = img[np.ix_(r1, c0)] * (1.0 - tc) + img[np.ix_(r1, c1)] * tc
+    top = img[..., r0, c0] * (1.0 - tc) + img[..., r0, c1] * tc
+    bottom = img[..., r1, c0] * (1.0 - tc) + img[..., r1, c1] * tc
     return top * (1.0 - tr) + bottom * tr
 
 
@@ -236,6 +248,8 @@ def augment(pixels: np.ndarray, cfg: AugmentConfig, draws) -> np.ndarray:
                                                  cfg.max_rotation_deg)))
         dy = int(draw.integers(-cfg.max_shift_px, cfg.max_shift_px + 1))
         dx = int(draw.integers(-cfg.max_shift_px, cfg.max_shift_px + 1))
+        # a whole-frame shift already paints only fill_value; this keeps int64 exact
+        dy, dx = min(max(dy, -h), h), min(max(dx, -w), w)
         params.append((flip, math.cos(theta), math.sin(theta), dy, dx))
     flip, cos_t, sin_t, dy, dx = (np.array(v)[:, None, None] for v in zip(*params))
 
@@ -271,14 +285,42 @@ def augment(pixels: np.ndarray, cfg: AugmentConfig, draws) -> np.ndarray:
 # loading
 # ---------------------------------------------------------------------------
 
+def _load_images(paths: list[str | Path]) -> np.ndarray:
+    """Decode PGM files in order (an error names the first bad one) to [n, 1, 32, 32].
+
+    A run of same-shape images within LOAD_RUN_PIXELS is normalized and
+    resized in one call; only one run of decoded images is held at a time.
+    """
+    out = np.empty((len(paths), 1, TARGET_SIZE, TARGET_SIZE))
+    run, maxvals = [], []
+
+    def flush() -> None:
+        done = len(maxvals) - len(run)
+        out[done:len(maxvals), 0] = resize_bilinear(
+            normalize(np.stack(run), np.array(maxvals[done:])[:, None, None]))
+        run.clear()
+
+    for path in paths:
+        raw = read_input(path, ImageDecodeError)
+        try:
+            img, maxval = decode_pgm(raw)
+            _check_resizable(img.shape)  # here, so a 1-pixel-high file is named in order
+        except (ImageDecodeError, InvalidShape) as exc:
+            raise ImageDecodeError(f"{path}: {exc}") from exc
+        if run and img.shape != run[0].shape:
+            flush()
+        run.append(img)
+        maxvals.append(maxval)
+        if (len(run) + 1) * (img.size + TARGET_SIZE ** 2) > LOAD_RUN_PIXELS:
+            flush()  # full: resize before reading on, so one run is held at most
+    if run:
+        flush()
+    return out
+
+
 def load_image(path: str | Path) -> np.ndarray:
     """Decode + normalize + resize one PGM file to [1, 32, 32] in [0, 1]."""
-    raw = read_input(path, ImageDecodeError)
-    try:
-        resized = resize_bilinear(normalize(*decode_pgm(raw)))
-    except (ImageDecodeError, InvalidShape) as exc:  # e.g. a 1-pixel-high image
-        raise ImageDecodeError(f"{path}: {exc}") from exc
-    return resized[None, :, :]
+    return _load_images([path])[0]
 
 
 def load_dataset(root_dir: str | Path, split_name: str) -> Dataset:
@@ -303,13 +345,14 @@ def load_dataset(root_dir: str | Path, split_name: str) -> Dataset:
         raise DatasetNotFound(f"no class directories under {split_dir}")
     class_names = [p.name for p in class_dirs]
 
-    samples: list[Sample] = []
+    labeled = []
     for label, (class_dir, files) in enumerate(zip(class_dirs, class_files)):
         if not files:
             log.warning("class directory %s contains no .pgm files", class_dir)
-        for f in files:
-            samples.append(Sample(pixels=load_image(f), label=label,
-                                  source_path=str(f)))
+        labeled += [(f, label) for f in files]
+    pixels = _load_images([f for f, _ in labeled])
+    samples = [Sample(pixels=p, label=label, source_path=str(f))
+               for p, (f, label) in zip(pixels, labeled)]
     return Dataset(samples=samples, class_names=class_names, split=split_name)
 
 
@@ -350,9 +393,9 @@ def gen_synthetic(out_dir: str | Path, n_per_class: int, seed: int) -> None:
             class_dir = out / dirname
             class_dir.mkdir(parents=True, exist_ok=True)
             base = synthetic_pattern(class_index).astype(np.float64)
-            for i in range(n_per_class):
-                noise = rng.normal(0.0, SYNTH_NOISE_SIGMA, size=base.shape)
-                img = np.clip(np.rint(base + noise), 0, 255).astype(np.uint8)
+            noise = rng.normal(0.0, SYNTH_NOISE_SIGMA, size=(n_per_class, *base.shape))
+            images = np.clip(np.rint(base + noise), 0, 255).astype(np.uint8)
+            for i, img in enumerate(images):
                 (class_dir / f"{i:04d}.pgm").write_bytes(encode_pgm(img))
     except OSError as exc:
         raise IoError(f"cannot write synthetic data under {out}: {exc}") from exc

@@ -194,7 +194,11 @@ def avgpool2d_forward(x: np.ndarray) -> np.ndarray:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise InvalidShape(f"avgpool2d needs even spatial dims, got {h}x{w}")
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    out += x[:, :, 1::2, 0::2]
+    out += x[:, :, 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def avgpool2d_backward(x_shape: tuple[int, ...], dout: np.ndarray) -> np.ndarray:
@@ -204,16 +208,23 @@ def avgpool2d_backward(x_shape: tuple[int, ...], dout: np.ndarray) -> np.ndarray
         raise InvalidShape(
             f"dout shape {dout.shape} != pooled shape {(n, c, h // 2, w // 2)}"
         )
-    return np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
+    dx = np.empty(x_shape)  # dout * 0.25 == dout / 4.0 exactly: a power of two
+    dx[:, :, ::2, ::2] = dx[:, :, ::2, 1::2] = dout * 0.25
+    dx[:, :, 1::2] = dx[:, :, ::2]
+    return dx
 
 
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    """y = 1 / (1 + exp(-x)), computed without overflow for any finite x."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """y = 1 / (1 + exp(-x)) as 0.5 * tanh(0.5 * x) + 0.5, in one float64 buffer.
+
+    tanh saturates, so no finite x overflows. The tail is accurate in absolute
+    terms only: sigmoid(-40) returns 0, not 4.2e-18. No caller divides by a
+    sigmoid output, since the losses work from logits.
+    """
+    out = np.multiply(x, 0.5, dtype=np.float64)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 

@@ -128,6 +128,18 @@ def _augment_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, epoch, 1, index])
 
 
+def check_sets(train_set: data_mod.Dataset, val_set: data_mod.Dataset,
+               batch_size: int) -> None:
+    """The input checks ``train`` makes first; the CLI runs them before mkdir."""
+    if not train_set.samples:
+        raise EmptyDataset("training set is empty")
+    if not val_set.samples:
+        raise EmptyDataset("validation set is empty")
+    if batch_size > len(train_set.samples):
+        raise InvalidConfig(
+            f"batch_size {batch_size} exceeds training-set size {len(train_set.samples)}")
+
+
 def train(model: LeNetModel, train_set: data_mod.Dataset,
           val_set: data_mod.Dataset, cfg: TrainConfig):
     """Run the training loop; returns (list of EpochRecord, final model).
@@ -136,15 +148,8 @@ def train(model: LeNetModel, train_set: data_mod.Dataset,
     completed epoch and DivergenceDetected is raised carrying the records
     gathered so far.
     """
-    if not train_set.samples:
-        raise EmptyDataset("training set is empty")
-    if not val_set.samples:
-        raise EmptyDataset("validation set is empty")
+    check_sets(train_set, val_set, cfg.batch_size)
     n = len(train_set.samples)
-    if cfg.batch_size > n:
-        raise InvalidConfig(
-            f"batch_size {cfg.batch_size} exceeds training-set size {n}"
-        )
 
     labels = np.array([s.label for s in train_set.samples], dtype=np.int64)
     records: list[EpochRecord] = []

@@ -176,9 +176,11 @@ class TestTrainCommand:
         {"loss_kind": "focal", "alpha": [10**400, 1, 1]},
         {"learning_rate": 10**400},
         {"max_shift_px": 10**30, "augment": True},
+        {"batch_size": 13},
     ], ids=["index-past-end", "negative-index", "every-class", "no-class", "short-alpha",
             "nan-alpha", "infinite-alpha", "infinite-lr", "int-beyond-float-gamma",
-            "int-beyond-float-alpha", "int-beyond-float-lr", "shift-beyond-int64"])
+            "int-beyond-float-alpha", "int-beyond-float-lr", "shift-beyond-int64",
+            "batch-beyond-train-set"])
     def test_class_count_ranges_checked_before_mkdir(self, synth_root, tmp_path, capsys,
                                                       cfg):
         cfg_file = tmp_path / "cfg.json"
@@ -196,6 +198,13 @@ class TestTrainCommand:
         assert code == 2
         assert not (tmp_path / "out").exists()
         assert "error" in capsys.readouterr().err
+
+    def test_empty_split_is_data_error_before_mkdir(self, synth_root, tmp_path, capsys):
+        for f in (synth_root / "validation").rglob("*.pgm"):
+            f.unlink()
+        assert run_train(synth_root, tmp_path / "out") == 2
+        assert capsys.readouterr().err.endswith("error: validation set is empty\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unlistable_dataset_is_data_error(self, synth_root, tmp_path, monkeypatch,
                                               capsys):

@@ -1,10 +1,13 @@
 import logging
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lenetkit.data as data_mod
 from lenetkit.data import (
     AugmentConfig,
     SYNTH_CLASS_DIRS,
@@ -276,6 +279,14 @@ class TestAugment:
         np.testing.assert_allclose(out[0, 0], np.rot90(img, quarter_turns),
                                    rtol=0, atol=1e-12)
 
+    def test_huge_shift_paints_fill_without_warning(self):
+        x = np.random.default_rng(10).uniform(size=(64, 1, 32, 32))
+        cfg = AugmentConfig(max_shift_px=2**63 - 1, fill_value=0.37)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = augment(x, cfg, _rngs(*range(64)))
+        assert np.all(out == 0.37)
+
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
             AugmentConfig(hflip_prob=1.5)
@@ -283,6 +294,19 @@ class TestAugment:
             AugmentConfig(max_rotation_deg=200.0)
         with pytest.raises(InvalidConfig):
             AugmentConfig(max_shift_px=-1)
+
+
+def _resize_one(img, out_h=32, out_w=32):
+    """``resize_bilinear``'s formula for one H x W image, gathered with np.ix_."""
+    h, w = img.shape
+    src_r = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    src_c = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    r0, c0 = np.floor(src_r).astype(np.int64), np.floor(src_c).astype(np.int64)
+    r1, c1 = np.minimum(r0 + 1, h - 1), np.minimum(c0 + 1, w - 1)
+    tr, tc = (src_r - r0)[:, None], (src_c - c0)[None, :]
+    top = img[np.ix_(r0, c0)] * (1.0 - tc) + img[np.ix_(r0, c1)] * tc
+    bottom = img[np.ix_(r1, c0)] * (1.0 - tc) + img[np.ix_(r1, c1)] * tc
+    return top * (1.0 - tr) + bottom * tr
 
 
 class TestLoadDataset:
@@ -327,6 +351,50 @@ class TestLoadDataset:
         with pytest.raises(ImageDecodeError) as err:
             load_dataset(tmp_path, "train")
         assert "0.pgm" in str(err.value)
+
+    def test_batched_loader_matches_per_image_oracle(self, tmp_path):
+        # 70 12x12 images span two runs; then shapes change file by file
+        rng = np.random.default_rng(12)
+        shapes = {"a": [(12, 12)] * 70,
+                  "b": [(2, 2), (7, 9), (7, 9), (512, 512), (12, 12), (33, 5), (2, 2)]}
+        maxvals = [255, 1, 15, 100, 254, 7]
+        for cls, class_shapes in shapes.items():
+            (tmp_path / "train" / cls).mkdir(parents=True)
+            for i, shape in enumerate(class_shapes):
+                maxval = maxvals[i % len(maxvals)]
+                img = rng.integers(0, maxval + 1, size=shape).astype(np.uint8)
+                path = tmp_path / "train" / cls / f"{i:03d}.pgm"
+                path.write_bytes(encode_pgm(img, maxval=maxval))
+        ds = load_dataset(tmp_path, "train")
+        assert len(ds) == 77
+        for s in ds.samples:
+            expect = _resize_one(normalize(*decode_pgm(Path(s.source_path).read_bytes())))
+            assert s.pixels.tobytes() == expect[None].tobytes()
+            assert load_image(s.source_path).tobytes() == expect[None].tobytes()
+
+    def test_resize_runs_stay_within_pixel_budget(self, tmp_path, monkeypatch):
+        self._make_tree(tmp_path, n=40, size=12)
+        runs = []
+
+        def recording_resize(img):
+            runs.append(img.shape)
+            return resize_bilinear(img)
+
+        monkeypatch.setattr(data_mod, "resize_bilinear", recording_resize)
+        assert len(load_dataset(tmp_path, "train")) == 80
+        assert sum(n for n, _, _ in runs) == 80 and len(runs) == 2
+        for n, h, w in runs:
+            assert n * (h * w + 32 * 32) <= data_mod.LOAD_RUN_PIXELS
+
+    @pytest.mark.parametrize("bad", [b"not a pgm at all", encode_pgm(np.zeros((1, 8)))],
+                             ids=["undecodable", "one-pixel-high"])
+    def test_first_bad_file_in_order_is_named(self, tmp_path, bad):
+        self._make_tree(tmp_path, n=5)
+        (tmp_path / "train" / "alpha" / "2.pgm").write_bytes(bad)
+        (tmp_path / "train" / "beta" / "1.pgm").write_bytes(b"also not a pgm")
+        with pytest.raises(ImageDecodeError) as err:
+            load_dataset(tmp_path, "train")
+        assert str(err.value).startswith(str(tmp_path / "train" / "alpha" / "2.pgm") + ":")
 
     def test_empty_class_dir_warns_not_fails(self, tmp_path, caplog):
         self._make_tree(tmp_path)

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import central_diff, rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lenetkit.errors import InvalidShape, InvalidState
 from lenetkit.nn import (
@@ -149,6 +153,14 @@ class TestAvgPool:
         dx = avgpool2d_backward(x.shape, proj)
         assert rel_err(dx, central_diff(loss, x)) <= FD_TOL
 
+    @pytest.mark.parametrize("shape", [(8, 6, 28, 28), (3, 16, 10, 10), (1, 1, 2, 2)])
+    def test_backward_equals_repeat_form_bit_for_bit(self, shape):
+        n, c, h, w = shape
+        dout = np.random.default_rng(14).normal(size=(n, c, h // 2, w // 2))
+        dout.flat[:3] = [5e-324, 3e-308, 1.7e308]  # subnormal, near-subnormal, huge
+        repeated = np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
+        assert avgpool2d_backward(shape, dout).tobytes() == repeated.tobytes()
+
 
 class TestSigmoid:
     def test_analytic_values(self):
@@ -178,6 +190,19 @@ class TestSigmoid:
 
         dx = sigmoid_backward(sigmoid_forward(x), proj)
         assert rel_err(dx, central_diff(loss, x)) <= FD_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 40),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_sigmoid_bounded_monotone_and_symmetric(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, y_neg = sigmoid_forward(x), sigmoid_forward(-x)
+    assert np.all((y >= 0.0) & (y <= 1.0))
+    order = np.argsort(x, kind="stable")
+    assert np.all(np.diff(y[order]) >= 0.0)
+    np.testing.assert_allclose(y + y_neg, 1.0, rtol=0, atol=1e-15)
 
 
 class TestDense:
