@@ -4,7 +4,8 @@ Commands: ``train``, ``evaluate``, ``predict``, ``gen-synthetic``,
 ``export-curves``. Configuration comes from an optional JSON file with
 flat snake_case keys; command-line flags override file values, and the
 effective configuration is echoed to ``config.echo.json`` in the output
-directory for reproducibility.
+directory for reproducibility. ``train`` and ``evaluate`` write the metrics
+report that ``metrics.metrics_json`` builds.
 
 Exit codes: 0 success, else the ``exit_code`` of the error type raised (see
 ``errors``): 1 usage/config error, 2 data error, 3 numeric divergence. A
@@ -159,40 +160,6 @@ def _positive_classes(cfg_value, class_names: list[str]) -> list[int]:
     return indices
 
 
-def _metrics_payload(split: str, mean_loss: float, cm, class_names: list[str],
-                     positive_classes: list[int]) -> dict:
-    macro = metrics_mod.macro_report(cm)
-    per_class_rows = []
-    for row in macro.per_class:
-        row = dict(row)
-        row["class_name"] = class_names[row["class_index"]]
-        per_class_rows.append(row)
-    binarized = metrics_mod.report_json(
-        metrics_mod.binarized_report(cm, positive_classes), cm)
-    binarized["positive_classes"] = sorted(positive_classes)
-    macro_json = metrics_mod.report_json(macro, cm)
-    macro_json["per_class"] = per_class_rows
-    return {
-        "split": split,
-        "num_samples": cm.total,
-        "class_names": class_names,
-        "loss": mean_loss,
-        "accuracy": macro.accuracy,
-        "reports": {
-            "binarized_nodule": binarized,
-            "macro_ovr": macro_json,
-            "per_class": {
-                "mode": "per_class",
-                "accuracy": macro.accuracy,
-                "sensitivity": None,
-                "specificity": None,
-                "confusion": cm.counts.tolist(),
-                "per_class": per_class_rows,
-            },
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -233,8 +200,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     final_record = asdict(records[-1]) if records else None
     val_loss, _, cm = train_mod.evaluate(model, val_set, tcfg.loss_kind, tcfg.focal)
-    payload = _metrics_payload("validation", val_loss, cm,
-                               train_set.class_names, positives)
+    payload = metrics_mod.metrics_json("validation", val_loss, cm,
+                                       train_set.class_names, positives)
 
     sidecar_cfg = dict(cfg)
     if tcfg.focal is not None and tcfg.focal.alpha is not None:
@@ -285,7 +252,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                      alpha=None if args.loss else focal.alpha)
 
     mean_loss, _, cm = train_mod.evaluate(model, dataset, loss_kind, focal)
-    payload = _metrics_payload(args.split, mean_loss, cm, names, positives)
+    payload = metrics_mod.metrics_json(args.split, mean_loss, cm, names, positives)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 

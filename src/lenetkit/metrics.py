@@ -1,13 +1,16 @@
-"""Confusion matrices and accuracy / sensitivity / specificity.
+"""Confusion matrices, accuracy / sensitivity / specificity, and the metrics report.
 
     accuracy    = (TP + TN) / (TP + FP + TN + FN)
     sensitivity = TP / (TP + FN)        (true positive rate, recall)
     specificity = TN / (TN + FP)        (true negative rate)
 
-Two reporting modes are supported for a K-class confusion matrix:
-``binarized`` collapses the classes into a positive/negative partition
-(e.g. nodule vs. normal) and applies the binary formulas once;
-``macro_ovr`` applies them one-vs-rest per class and macro-averages.
+A K-class confusion matrix is reported in three modes: ``binarized_nodule``
+collapses the classes into a positive/negative partition (e.g. nodule vs.
+normal) and applies the binary formulas once; ``macro_ovr`` applies them
+one-vs-rest per class and macro-averages; ``per_class`` lists the same
+per-class rows without an average. Each mode is the JSON object it is
+written as, and ``metrics_json`` builds the whole ``metrics.json`` payload
+(also ``evaluate``'s stdout) from them.
 
 Counting is exact integer arithmetic until the final division. A metric
 with a zero denominator is *undefined* and reported as ``None`` (JSON
@@ -45,17 +48,6 @@ class BinaryCounts:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass
-class MetricReport:
-    """Metrics for one reporting mode; None marks an undefined value."""
-
-    mode: str
-    accuracy: float | None
-    sensitivity: float | None
-    specificity: float | None
-    per_class: list[dict] | None = None
 
 
 def confusion(true_labels, pred_labels, k: int) -> ConfusionMatrix:
@@ -118,18 +110,15 @@ def specificity(bc: BinaryCounts) -> float | None:
     return bc.tn / (bc.tn + bc.fp)
 
 
-def binarized_report(cm: ConfusionMatrix, positive_classes) -> MetricReport:
+def binarized_report(cm: ConfusionMatrix, positive_classes) -> dict:
+    """The binary formulas once, over a positive/negative class partition."""
     bc = binarize(cm, positive_classes)
-    return MetricReport(
-        mode="binarized_nodule",
-        accuracy=accuracy(bc),
-        sensitivity=sensitivity(bc),
-        specificity=specificity(bc),
-        per_class=None,
-    )
+    return {"mode": "binarized_nodule", "accuracy": accuracy(bc),
+            "sensitivity": sensitivity(bc), "specificity": specificity(bc),
+            "confusion": cm.counts.tolist(), "per_class": None}
 
 
-def macro_report(cm: ConfusionMatrix) -> MetricReport:
+def macro_report(cm: ConfusionMatrix) -> dict:
     """One-vs-rest sensitivity/specificity per class, macro-averaged.
 
     The macro average is the unweighted mean over classes where the metric
@@ -149,13 +138,11 @@ def macro_report(cm: ConfusionMatrix) -> MetricReport:
         })
     sens = [row["sensitivity"] for row in per_class if row["sensitivity"] is not None]
     spec = [row["specificity"] for row in per_class if row["specificity"] is not None]
-    return MetricReport(
-        mode="macro_ovr",
-        accuracy=None if total == 0 else int(np.trace(cm.counts)) / total,
-        sensitivity=sum(sens) / len(sens) if sens else None,
-        specificity=sum(spec) / len(spec) if spec else None,
-        per_class=per_class,
-    )
+    return {"mode": "macro_ovr",
+            "accuracy": None if total == 0 else int(np.trace(cm.counts)) / total,
+            "sensitivity": sum(sens) / len(sens) if sens else None,
+            "specificity": sum(spec) / len(spec) if spec else None,
+            "confusion": cm.counts.tolist(), "per_class": per_class}
 
 
 def default_positive_classes(class_names: list[str]) -> list[int]:
@@ -170,13 +157,16 @@ def default_positive_classes(class_names: list[str]) -> list[int]:
     return [i for i in range(len(class_names)) if i not in negatives]
 
 
-def report_json(report: MetricReport, cm: ConfusionMatrix) -> dict:
-    """JSON-ready form of a report: metrics, confusion counts, per-class rows."""
-    return {
-        "mode": report.mode,
-        "accuracy": report.accuracy,
-        "sensitivity": report.sensitivity,
-        "specificity": report.specificity,
-        "confusion": cm.counts.tolist(),
-        "per_class": report.per_class,
-    }
+def metrics_json(split: str, mean_loss: float, cm: ConfusionMatrix,
+                 class_names: list[str], positive_classes: list[int]) -> dict:
+    """The ``metrics.json`` payload of one split: its loss and every report mode."""
+    macro = macro_report(cm)
+    for row in macro["per_class"]:
+        row["class_name"] = class_names[row["class_index"]]
+    binarized = binarized_report(cm, positive_classes)
+    binarized["positive_classes"] = sorted(positive_classes)
+    return {"split": split, "num_samples": cm.total, "class_names": class_names,
+            "loss": mean_loss, "accuracy": macro["accuracy"],
+            "reports": {"binarized_nodule": binarized, "macro_ovr": macro,
+                        "per_class": macro | {"mode": "per_class", "sensitivity": None,
+                                              "specificity": None}}}

@@ -146,7 +146,9 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
         raise InvalidShape(f"kernel {kh}x{kw} larger than input {h}x{w}")
     # contract Cin, kh, kw of the windows against the kernel
     out = np.tensordot(_windows(x, kh, kw), kernel, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + bias[None, :, None, None]
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    out += bias[None, :, None, None]  # in place: no second output-sized array
+    return out
 
 
 def conv2d_param_grads(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray):

@@ -140,11 +140,13 @@ def check_sets(train_set: data_mod.Dataset, val_set: data_mod.Dataset,
             f"batch_size {batch_size} exceeds training-set size {len(train_set.samples)}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite losses are caught below
 def train(model: LeNetModel, train_set: data_mod.Dataset,
           val_set: data_mod.Dataset, cfg: TrainConfig):
     """Run the training loop; returns (list of EpochRecord, final model).
 
-    On a non-finite batch loss the model is restored to the end of the last
+    On a non-finite batch loss, or a non-finite train or validation loss in
+    the epoch-end evaluation, the model is restored to the end of the last
     completed epoch and DivergenceDetected is raised carrying the records
     gathered so far.
     """
@@ -170,19 +172,22 @@ def train(model: LeNetModel, train_set: data_mod.Dataset,
             _, trace = model_forward(model, xb)
             out = _compute_loss(trace.logits, labels[idx], cfg.loss_kind, cfg.focal)
             if not np.isfinite(out.mean_loss):
-                _restore(model, last_good)
-                raise DivergenceDetected(
-                    f"non-finite loss at epoch {epoch}; restored last good state",
-                    records=records, epoch=epoch,
-                )
+                break
             model_backward(model, trace, out.dlogits)
             sgd_step(model, cfg.learning_rate)
-
-        train_loss, train_acc, _ = evaluate(model, train_set, cfg.loss_kind, cfg.focal)
-        val_loss, val_acc, _ = evaluate(model, val_set, cfg.loss_kind, cfg.focal)
-        records.append(EpochRecord(epoch=epoch, train_loss=train_loss,
-                                   train_acc=train_acc, val_loss=val_loss,
-                                   val_acc=val_acc))
-        last_good = _snapshot(model)
+        else:  # every step was finite; the epoch counts if its evaluation is too
+            train_loss, train_acc, _ = evaluate(model, train_set, cfg.loss_kind, cfg.focal)
+            val_loss, val_acc, _ = evaluate(model, val_set, cfg.loss_kind, cfg.focal)
+            if np.isfinite(train_loss) and np.isfinite(val_loss):
+                records.append(EpochRecord(epoch=epoch, train_loss=train_loss,
+                                           train_acc=train_acc, val_loss=val_loss,
+                                           val_acc=val_acc))
+                last_good = _snapshot(model)
+                continue
+        _restore(model, last_good)
+        raise DivergenceDetected(
+            f"non-finite loss at epoch {epoch}; restored last good state",
+            records=records, epoch=epoch,
+        )
 
     return records, model

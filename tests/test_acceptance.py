@@ -241,9 +241,9 @@ def test_oracle_equivalence():
                     sens.append(ctp / (ctp + cfn))
                 if ctn + cfp:
                     spec.append(ctn / (ctn + cfp))
-            assert report.sensitivity == sum(sens) / len(sens)
-            assert report.specificity == sum(spec) / len(spec)
-            assert report.accuracy == float((true == pred).sum()) / 200
+            assert report["sensitivity"] == sum(sens) / len(sens)
+            assert report["specificity"] == sum(spec) / len(spec)
+            assert report["accuracy"] == float((true == pred).sum()) / 200
 
 
 # ---------------------------------------------------------------------------

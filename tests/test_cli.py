@@ -229,6 +229,30 @@ class TestTrainCommand:
         # last-good checkpoint still written
         assert (tmp_path / "run" / "checkpoint.lnck").is_file()
 
+    @pytest.mark.parametrize("epochs", ["1", "2"])
+    def test_overflow_in_last_step_of_epoch_is_divergence(self, tmp_path, epochs):
+        """A loss that turns non-finite only in the epoch-end evaluation diverges too."""
+        data, out = tmp_path / "d", tmp_path / "r"
+        assert cli.main(["gen-synthetic", "--out", str(data),
+                         "--n-per-class", "4", "--seed", "1"]) == 0
+        env = dict(os.environ)  # a process of its own, so numpy's warnings reach stderr
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "lenetkit.cli", "train", "--data", str(data),
+             "--out", str(out), "--epochs", epochs, "--batch-size", "12",
+             "--lr", "1e308", "--seed", "1"], env=env, capture_output=True, text=True)
+        assert run.returncode == 3
+        assert run.stderr.startswith("error: ") and len(run.stderr.splitlines()) == 1
+        assert (out / "curves.csv").read_text() == \
+            "epoch,train_loss,train_acc,val_loss,val_acc\n"
+
+        def reject(constant):
+            raise ValueError(f"{constant} in an artifact")
+
+        for name in ("metrics.json", "checkpoint.lnck.json"):
+            json.loads((out / name).read_text(), parse_constant=reject)
+
     def test_zero_epoch_rerun_removes_stale_svg(self, synth_root, tmp_path):
         out = tmp_path / "run"
         assert run_train(synth_root, out) == 0
@@ -681,6 +705,18 @@ def test_only_the_reader_reads_files():
                     "read_bytes", "read_text", "open"):
                 readers.add(f"{module.stem}.{owner.get(node, '<module>')}")
     assert readers == {"errors.read_input"}
+
+
+def test_only_metrics_holds_the_report_format():
+    """The report mode names are string constants of ``metrics.py`` alone."""
+    package = Path(cli.__file__).parent
+    holders = set()
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Constant) and node.value in (
+                    "binarized_nodule", "macro_ovr", "per_class"):
+                holders.add(module.stem)
+    assert holders == {"metrics"}
 
 
 # Well-typed config values drawn from the schema's JSON types: mostly in range, but

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from lenetkit.metrics import (
     confusion,
     default_positive_classes,
     macro_report,
-    report_json,
+    metrics_json,
     sensitivity,
     specificity,
 )
@@ -107,17 +109,17 @@ class TestMacroReport:
     def test_diagonal_all_ones(self):
         cm = confusion([0, 1, 2, 2], [0, 1, 2, 2], 3)
         report = macro_report(cm)
-        assert report.accuracy == 1.0
-        assert report.sensitivity == 1.0
-        assert report.specificity == 1.0
+        assert report["accuracy"] == 1.0
+        assert report["sensitivity"] == 1.0
+        assert report["specificity"] == 1.0
 
     def test_two_class_macro_is_mean_of_recalls(self):
         cm = confusion([0, 0, 0, 1, 1], [0, 0, 1, 1, 0], 2)
         report = macro_report(cm)
         recall0, recall1 = 2 / 3, 1 / 2
-        np.testing.assert_allclose(report.sensitivity, (recall0 + recall1) / 2)
+        np.testing.assert_allclose(report["sensitivity"], (recall0 + recall1) / 2)
         # OvR specificity of class 0 is recall of class 1 and vice versa
-        np.testing.assert_allclose(report.specificity, (recall1 + recall0) / 2)
+        np.testing.assert_allclose(report["specificity"], (recall1 + recall0) / 2)
 
     def test_against_brute_force_ovr_oracle(self):
         rng = np.random.default_rng(3)
@@ -132,22 +134,22 @@ class TestMacroReport:
             fn = int(((true == c) & (pred != c)).sum())
             fp = int(((true != c) & (pred == c)).sum())
             tn = int(((true != c) & (pred != c)).sum())
-            row = report.per_class[c]
+            row = report["per_class"][c]
             assert (row["tp"], row["fp"], row["tn"], row["fn"]) == (tp, fp, tn, fn)
             if tp + fn:
                 sens.append(tp / (tp + fn))
             if tn + fp:
                 spec.append(tn / (tn + fp))
-        assert report.sensitivity == sum(sens) / len(sens)
-        assert report.specificity == sum(spec) / len(spec)
-        assert report.accuracy == (true == pred).mean()
+        assert report["sensitivity"] == sum(sens) / len(sens)
+        assert report["specificity"] == sum(spec) / len(spec)
+        assert report["accuracy"] == (true == pred).mean()
 
     def test_accuracy_equals_matching_fraction(self):
         rng = np.random.default_rng(4)
         true = rng.integers(0, 3, size=97)
         pred = rng.integers(0, 3, size=97)
         report = macro_report(confusion(true, pred, 3))
-        assert report.accuracy == float((true == pred).sum()) / 97
+        assert report["accuracy"] == float((true == pred).sum()) / 97
 
 
 class TestReportPlumbing:
@@ -161,7 +163,7 @@ class TestReportPlumbing:
 
     def test_report_json_shape(self):
         cm = confusion([0, 1, 2], [0, 1, 1], 3)
-        payload = report_json(binarized_report(cm, [0, 1]), cm)
+        payload = binarized_report(cm, [0, 1])
         assert payload["mode"] == "binarized_nodule"
         assert payload["confusion"] == cm.counts.tolist()
         assert set(payload) == {"mode", "accuracy", "sensitivity",
@@ -169,5 +171,41 @@ class TestReportPlumbing:
 
     def test_report_json_null_for_undefined(self):
         cm = confusion([0, 0], [0, 1], 3)  # no samples of class 2
-        payload = report_json(binarized_report(cm, [2]), cm)
+        payload = binarized_report(cm, [2])
         assert payload["sensitivity"] is None
+
+    def test_metrics_json_payload(self):
+        #           predicted: benign malignant normal
+        counts = [[3, 1, 0],  # benign
+                  [0, 2, 1],  # malignant
+                  [1, 0, 4]]  # normal
+        true = [t for t in range(3) for p in range(3) for _ in range(counts[t][p])]
+        pred = [p for t in range(3) for p in range(3) for _ in range(counts[t][p])]
+        names = ["benign", "malignant", "normal"]
+        rows = [
+            {"class_index": 0, "class_name": "benign", "tp": 3, "fp": 1, "tn": 7, "fn": 1,
+             "sensitivity": 3 / 4, "specificity": 7 / 8},
+            {"class_index": 1, "class_name": "malignant", "tp": 2, "fp": 1, "tn": 8,
+             "fn": 1, "sensitivity": 2 / 3, "specificity": 8 / 9},
+            {"class_index": 2, "class_name": "normal", "tp": 4, "fp": 1, "tn": 6, "fn": 1,
+             "sensitivity": 4 / 5, "specificity": 6 / 7},
+        ]
+        macro = {"mode": "macro_ovr", "accuracy": 9 / 12,
+                 "sensitivity": (3 / 4 + 2 / 3 + 4 / 5) / 3,
+                 "specificity": (7 / 8 + 8 / 9 + 6 / 7) / 3,
+                 "confusion": counts, "per_class": rows}
+        payload = metrics_json("test", 0.5, confusion(true, pred, 3), names, [1, 0])
+        # positives {benign, malignant}: TP 6, FN 1, FP 1, TN 4
+        assert json.loads(json.dumps(payload, allow_nan=False)) == {
+            "split": "test", "num_samples": 12, "class_names": names, "loss": 0.5,
+            "accuracy": 9 / 12,
+            "reports": {
+                "binarized_nodule": {
+                    "mode": "binarized_nodule", "accuracy": 10 / 12,
+                    "sensitivity": 6 / 7, "specificity": 4 / 5, "confusion": counts,
+                    "per_class": None, "positive_classes": [0, 1]},
+                "macro_ovr": macro,
+                "per_class": {**macro, "mode": "per_class", "sensitivity": None,
+                              "specificity": None},
+            },
+        }

@@ -92,7 +92,7 @@ class TestEvaluate:
         model = init_params(7)
         ds = tiny_dataset(n_per_class=5)
         _, acc, cm = evaluate(model, ds)
-        assert acc == macro_report(cm).accuracy
+        assert acc == macro_report(cm)["accuracy"]
 
     def test_single_correct_sample(self):
         model = init_params(8)
