@@ -192,14 +192,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:  # ValueError: a NUL in a config file's out_dir
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
 
-    diverged = None
+    diverged, stats = None, []
     try:
-        records, model = train_mod.train(model, train_set, val_set, tcfg)
+        records, model = train_mod.train(model, train_set, val_set, tcfg,
+                                         on_epoch=stats.append)
     except DivergenceDetected as exc:
         records, diverged = exc.records, exc
 
     final_record = asdict(records[-1]) if records else None
-    val_loss, _, cm = train_mod.evaluate(model, val_set, tcfg.loss_kind, tcfg.focal)
+    if stats:  # the model is in the state whose validation pass ended the last epoch
+        val_loss, cm = stats[-1].record.val_loss, stats[-1].val_confusion
+    else:
+        val_loss, _, cm = train_mod.evaluate(model, val_set, tcfg.loss_kind, tcfg.focal)
     payload = metrics_mod.metrics_json("validation", val_loss, cm,
                                        train_set.class_names, positives)
 

@@ -11,10 +11,24 @@ Fixed architecture over [N, 1, 32, 32] inputs (valid convolutions, stride 1):
 "Convolution" is cross-correlation (no kernel flip), the usual CNN
 convention; every backward formula below is the exact derivative of its
 forward formula, which is what the finite-difference tests check.
+
+Each convolution is a GEMM over the input's column matrix (im2col), laid out
+as [C*kh*kw, N*Ho*Wo] as in Caffe: forward is kernel[O, C*kh*kw] @ cols, and
+the kernel gradient is dout[O, N*Ho*Wo] @ cols.T. A model owns a
+``Workspace`` of grow-only scratch buffers that these GEMMs reuse across
+calls: one column buffer that conv1 and conv2 share (so at most one column
+matrix is alive), dout as [O, N*Ho*Wo], and conv2's input-gradient
+accumulator. After a forward the column buffer holds conv2's columns, which
+its backward reads; conv1's are rebuilt from the trace's input. So a trace is
+good only until the model's next forward, and ``model_backward`` raises
+``InvalidState`` for an older one. Everything a caller can hold (trace
+activations, probabilities, gradients) is a fresh array. The elementwise
+backward layers make one output-sized array each and work in it in place.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -62,6 +76,30 @@ def param_shapes(num_classes: int) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+_FORWARDS = itertools.count(1)  # serial numbers of model forwards, unique across models
+
+
+class Workspace:
+    """Grow-only scratch buffers reused across calls, one flat buffer per role.
+
+    ``take`` hands out a prefix of the role's buffer, so conv1 and conv2 share
+    one column buffer and a small batch reuses a larger one's memory.
+    ``generation`` is the serial number of the model's latest forward.
+    """
+
+    def __init__(self):
+        self.generation = 0
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A view of ``shape`` on the role's buffer; its contents are undefined."""
+        size = math.prod(shape)
+        if role not in self.buffers or self.buffers[role].size < size:
+            self.buffers.pop(role, None)  # free the old buffer before the larger one
+            self.buffers[role] = np.empty(size)
+        return self.buffers[role][:size].reshape(shape)
+
+
 class LeNetModel:
     """The fixed layer stack plus its parameters.
 
@@ -82,6 +120,7 @@ class LeNetModel:
                 )
         self.params = {name: params[name] for name in expected}
         self.num_classes = num_classes
+        self.workspace = Workspace()
 
     def param_list(self) -> list[Param]:
         return list(self.params.values())
@@ -119,20 +158,46 @@ def init_params(seed: int, num_classes: int = 3) -> LeNetModel:
 # layer primitives
 # ---------------------------------------------------------------------------
 
-def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """im2col as a strided view: windows[n,c,i,j,u,v] = x[n,c,i+u,j+v].
+def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace, *,
+             fill: bool = True) -> np.ndarray:
+    """im2col into the workspace's column buffer: cols[C*kh*kw, N*Ho*Wo].
 
-    Conv forward and the kernel gradient read this one view, and the input
-    gradient scatters back through it (col2im, its adjoint); no unfolded copy
-    of x is made.
+    Row (c,u,v), column (n,i,j) holds x[n,c,i+u,j+v]. The copy reads x's
+    sliding windows as a strided view [N,C,Ho,Wo,kh,kw] and runs along j, Wo
+    contiguous values at a time. ``fill=False`` returns the buffer as it is,
+    for a backward whose forward left x's columns there.
     """
-    return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    n, c, h, w = x.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    cols = ws.take("cols", (c, kh, kw, n, ho, wo))
+    if fill:
+        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+        np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * kh * kw, n * ho * wo)
 
 
-def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _param_grads(cols: np.ndarray, kernel: np.ndarray, dout: np.ndarray,
+                 ws: Workspace):
+    """(dout_t, dkernel, dbias) of a conv from its input's column matrix.
+
+    dout_t is dout as [O, N*Ho*Wo] in the workspace; dL/dk = dout_t @ cols.T
+    and dL/db[o] = sum_{n,i,j} dout[n,o,i,j].
+    """
+    n, cout, ho, wo = dout.shape
+    dout_t = ws.take("dout_t", (cout, n, ho, wo))
+    np.copyto(dout_t, dout.transpose(1, 0, 2, 3))
+    dout_t = dout_t.reshape(cout, n * ho * wo)
+    return dout_t, (dout_t @ cols.T).reshape(kernel.shape), dout_t.sum(axis=1)
+
+
+def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
+                   workspace: Workspace | None = None) -> np.ndarray:
     """Valid cross-correlation.
 
     out[n,o,i,j] = bias[o] + sum_{c,u,v} x[n,c,i+u,j+v] * kernel[o,c,u,v]
+
+    Computed as kernel[O, C*kh*kw] @ cols in ``workspace`` (a fresh one if
+    None), which still holds x's columns afterwards.
     """
     if x.ndim != 4 or kernel.ndim != 4 or bias.ndim != 1:
         raise InvalidShape("conv2d expects x[N,C,H,W], kernel[O,C,kh,kw], bias[O]")
@@ -144,19 +209,25 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
         )
     if kh > h or kw > w:
         raise InvalidShape(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    # contract Cin, kh, kw of the windows against the kernel
-    out = np.tensordot(_windows(x, kh, kw), kernel, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    ws = Workspace() if workspace is None else workspace
+    ho, wo = h - kh + 1, w - kw + 1
+    out_t = kernel.reshape(cout, -1) @ _columns(x, kh, kw, ws)
+    out = np.ascontiguousarray(out_t.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
     out += bias[None, :, None, None]  # in place: no second output-sized array
     return out
 
 
-def conv2d_param_grads(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
-    """The parameter half of ``conv2d_backward``: (dkernel, dbias).
+def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
+                    workspace: Workspace | None = None):
+    """Exact gradients of ``conv2d_forward``: (dx, dkernel, dbias).
 
-    For a first layer, whose input gradient nothing reads.
-    dL/dk[o,c,u,v] = sum_{n,i,j} dout[n,o,i,j] * x[n,c,i+u,j+v]
-    dL/db[o]       = sum_{n,i,j} dout[n,o,i,j]
+    dL/dx is col2im of dcols[c,u,v,n,i,j] = sum_o kernel[o,c,u,v] * dout[n,o,i,j],
+    one GEMM written over the spent columns: window element (i,j,u,v) adds
+    back onto x[n,c,i+u,j+v]. dx is summed in [C,N,H,W] order, the layout
+    dcols is in, and transposed once at the end.
+
+    A given ``workspace`` must still hold x's columns from the
+    ``conv2d_forward`` that read x; without one they are built here.
     """
     n, cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
@@ -165,24 +236,13 @@ def conv2d_param_grads(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
         raise InvalidShape(
             f"dout shape {dout.shape} != forward output shape {(n, cout, ho, wo)}"
         )
-    dkernel = np.tensordot(dout, _windows(x, kh, kw), axes=([0, 2, 3], [0, 2, 3]))
-    return dkernel, dout.sum(axis=(0, 2, 3))
-
-
-def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
-    """Exact gradients of ``conv2d_forward``: (dx, dkernel, dbias).
-
-    dL/dx is col2im of dcols[c,u,v,n,i,j] = sum_o kernel[o,c,u,v] * dout[n,o,i,j]:
-    window element (i,j,u,v) adds back onto x[n,c,i+u,j+v]. dx is summed in
-    [C,N,H,W] order, the layout the one GEMM leaves dcols in, and transposed
-    once at the end.
-    """
-    dkernel, dbias = conv2d_param_grads(x, kernel, dout)
-    n, cin, h, w = x.shape
-    _, _, kh, kw = kernel.shape
-    ho, wo = dout.shape[2:]
-    dcols = np.tensordot(kernel, dout, axes=([0], [1]))
-    dx = np.zeros((cin, n, h, w))
+    ws = Workspace() if workspace is None else workspace
+    cols = _columns(x, kh, kw, ws, fill=workspace is None)
+    dout_t, dkernel, dbias = _param_grads(cols, kernel, dout, ws)
+    dcols = np.matmul(kernel.reshape(cout, -1).T, dout_t, out=cols)  # columns are spent
+    dcols = dcols.reshape(cin, kh, kw, n, ho, wo)
+    dx = ws.take("dx", (cin, n, h, w))
+    dx.fill(0.0)
     for u in range(kh):
         for v in range(kw):
             dx[:, :, u:u + ho, v:v + wo] += dcols[:, u, v]
@@ -211,7 +271,8 @@ def avgpool2d_backward(x_shape: tuple[int, ...], dout: np.ndarray) -> np.ndarray
             f"dout shape {dout.shape} != pooled shape {(n, c, h // 2, w // 2)}"
         )
     dx = np.empty(x_shape)  # dout * 0.25 == dout / 4.0 exactly: a power of two
-    dx[:, :, ::2, ::2] = dx[:, :, ::2, 1::2] = dout * 0.25
+    np.multiply(dout, 0.25, out=dx[:, :, ::2, ::2])
+    dx[:, :, ::2, 1::2] = dx[:, :, ::2, ::2]
     dx[:, :, 1::2] = dx[:, :, ::2]
     return dx
 
@@ -234,7 +295,9 @@ def sigmoid_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """dx = dy * y * (1 - y), with y the cached forward output."""
     if y.shape != dy.shape:
         raise InvalidShape(f"dy shape {dy.shape} != y shape {y.shape}")
-    return dy * y * (1.0 - y)
+    dx = dy * y
+    dx *= 1.0 - y  # in place: (dy * y) * (1 - y), one output-sized array
+    return dx
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,8 +337,9 @@ def softmax(z: np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """Cached activations one forward pass leaves behind for backward.
 
-    Consumed exactly once: a second backward from the same trace raises
-    ``InvalidState``.
+    Consumed exactly once, and only before the model's next forward: a
+    second backward from the same trace, or one from an older forward,
+    raises ``InvalidState``.
     """
 
     x: np.ndarray        # [N,1,32,32] model input
@@ -287,6 +351,7 @@ class ForwardTrace:
     sig4: np.ndarray     # [N,84]
     logits: np.ndarray   # [N,K] pre-softmax
     probs: np.ndarray    # [N,K]
+    generation: int      # the forward's serial number in the model's workspace
     consumed: bool = field(default=False)
 
 
@@ -302,12 +367,14 @@ def model_forward(model: LeNetModel, x: np.ndarray):
         )
     x = np.asarray(x, dtype=np.float64)
     p = model.params
+    ws = model.workspace
+    ws.generation = next(_FORWARDS)
 
     sig1 = sigmoid_forward(conv2d_forward(x, p["conv1.kernel"].value,
-                                          p["conv1.bias"].value))
+                                          p["conv1.bias"].value, workspace=ws))
     pool1 = avgpool2d_forward(sig1)
     sig2 = sigmoid_forward(conv2d_forward(pool1, p["conv2.kernel"].value,
-                                          p["conv2.bias"].value))
+                                          p["conv2.bias"].value, workspace=ws))
     pool2 = avgpool2d_forward(sig2)
     flat = pool2.reshape(x.shape[0], FLAT_FEATURES)
     sig3 = sigmoid_forward(dense_forward(flat, p["fc1.weight"].value,
@@ -318,7 +385,8 @@ def model_forward(model: LeNetModel, x: np.ndarray):
     probs = softmax(logits)
 
     trace = ForwardTrace(x=x, sig1=sig1, pool1=pool1, sig2=sig2, flat=flat,
-                         sig3=sig3, sig4=sig4, logits=logits, probs=probs)
+                         sig3=sig3, sig4=sig4, logits=logits, probs=probs,
+                         generation=ws.generation)
     return probs, trace
 
 
@@ -332,12 +400,15 @@ def model_backward(model: LeNetModel, trace: ForwardTrace | None,
     """
     if trace is None or trace.consumed:
         raise InvalidState("forward trace is missing or already consumed")
+    if trace.generation != model.workspace.generation:
+        raise InvalidState("forward trace is stale: a later forward reused its buffers")
     if upstream.shape != trace.logits.shape:
         raise InvalidShape(
             f"upstream shape {upstream.shape} != logits shape {trace.logits.shape}"
         )
     trace.consumed = True
     p = model.params
+    ws = model.workspace
 
     dsig4, dw, db = dense_backward(trace.sig4, p["fc_out.weight"].value, upstream)
     p["fc_out.weight"].grad[...] = dw
@@ -356,12 +427,15 @@ def model_backward(model: LeNetModel, trace: ForwardTrace | None,
     dpool2 = dflat.reshape(trace.sig2.shape[0], 16, 5, 5)
     dsig2 = avgpool2d_backward(trace.sig2.shape, dpool2)
     dconv2 = sigmoid_backward(trace.sig2, dsig2)
-    dpool1, dk, db = conv2d_backward(trace.pool1, p["conv2.kernel"].value, dconv2)
+    dpool1, dk, db = conv2d_backward(trace.pool1, p["conv2.kernel"].value, dconv2,
+                                     workspace=ws)
     p["conv2.kernel"].grad[...] = dk
     p["conv2.bias"].grad[...] = db
 
     dsig1 = avgpool2d_backward(trace.sig1.shape, dpool1)
     dconv1 = sigmoid_backward(trace.sig1, dsig1)
-    dk, db = conv2d_param_grads(trace.x, p["conv1.kernel"].value, dconv1)
+    kernel = p["conv1.kernel"].value  # conv1 needs no dx; its columns are rebuilt
+    _, dk, db = _param_grads(_columns(trace.x, *kernel.shape[2:], ws), kernel,
+                             dconv1, ws)
     p["conv1.kernel"].grad[...] = dk
     p["conv1.bias"].grad[...] = db

@@ -14,6 +14,7 @@ share a batch.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,14 @@ class EpochRecord:
     val_acc: float
 
 
+@dataclass
+class EpochStats:
+    """What ``train`` hands its ``on_epoch`` callback after each completed epoch."""
+
+    record: EpochRecord
+    val_confusion: metrics_mod.ConfusionMatrix
+
+
 def sgd_step(model: LeNetModel, learning_rate: float) -> None:
     """value <- value - learning_rate * grad for every parameter in place."""
     for p in model.param_list():
@@ -91,7 +100,7 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
     """Full pure pass; returns (mean per-sample loss, accuracy, ConfusionMatrix).
 
     Batches are taken in fixed index order with a fixed batch size, so the
-    reduced loss is bitwise reproducible. The model is never mutated.
+    reduced loss is bitwise reproducible. The parameters are never mutated.
     """
     samples = dataset.samples
     if not samples:
@@ -142,12 +151,15 @@ def check_sets(train_set: data_mod.Dataset, val_set: data_mod.Dataset,
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite losses are caught below
 def train(model: LeNetModel, train_set: data_mod.Dataset,
-          val_set: data_mod.Dataset, cfg: TrainConfig):
+          val_set: data_mod.Dataset, cfg: TrainConfig, *,
+          on_epoch: Callable[[EpochStats], None] | None = None):
     """Run the training loop; returns (list of EpochRecord, final model).
 
-    On a non-finite batch loss, or a non-finite train or validation loss in
-    the epoch-end evaluation, the model is restored to the end of the last
-    completed epoch and DivergenceDetected is raised carrying the records
+    ``on_epoch``, if given, is called with each completed epoch's
+    ``EpochStats``. On a non-finite batch loss, or a non-finite train or
+    validation loss in the epoch-end evaluation, the model is restored to
+    the end of the last completed epoch, whose stats were the last ones
+    delivered, and DivergenceDetected is raised carrying the records
     gathered so far.
     """
     check_sets(train_set, val_set, cfg.batch_size)
@@ -177,12 +189,14 @@ def train(model: LeNetModel, train_set: data_mod.Dataset,
             sgd_step(model, cfg.learning_rate)
         else:  # every step was finite; the epoch counts if its evaluation is too
             train_loss, train_acc, _ = evaluate(model, train_set, cfg.loss_kind, cfg.focal)
-            val_loss, val_acc, _ = evaluate(model, val_set, cfg.loss_kind, cfg.focal)
+            val_loss, val_acc, val_cm = evaluate(model, val_set, cfg.loss_kind, cfg.focal)
             if np.isfinite(train_loss) and np.isfinite(val_loss):
                 records.append(EpochRecord(epoch=epoch, train_loss=train_loss,
                                            train_acc=train_acc, val_loss=val_loss,
                                            val_acc=val_acc))
                 last_good = _snapshot(model)
+                if on_epoch is not None:
+                    on_epoch(EpochStats(records[-1], val_cm))
                 continue
         _restore(model, last_good)
         raise DivergenceDetected(

@@ -219,7 +219,7 @@ class TestTrainCommand:
         assert not (tmp_path / "out").exists()
 
     def test_divergence_exit_code(self, synth_root, tmp_path, monkeypatch, capsys):
-        def exploding_train(model, train_set, val_set, cfg):
+        def exploding_train(model, train_set, val_set, cfg, *, on_epoch=None):
             raise DivergenceDetected("boom", records=[])
 
         monkeypatch.setattr(cli.train_mod, "train", exploding_train)
@@ -253,6 +253,21 @@ class TestTrainCommand:
         for name in ("metrics.json", "checkpoint.lnck.json"):
             json.loads((out / name).read_text(), parse_constant=reject)
 
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_validation_is_evaluated_once_per_epoch(self, synth_root, tmp_path,
+                                                    monkeypatch, epochs):
+        calls = []
+        evaluate = cli.train_mod.evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            calls.append(args[1].split)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli.train_mod, "evaluate", counting_evaluate)
+        assert run_train(synth_root, tmp_path / "run", ("--epochs", str(epochs))) == 0
+        # with no epoch completed, the validation metrics need a pass of their own
+        assert calls == (["train", "validation"] * epochs or ["validation"])
+
     def test_zero_epoch_rerun_removes_stale_svg(self, synth_root, tmp_path):
         out = tmp_path / "run"
         assert run_train(synth_root, out) == 0
@@ -285,7 +300,7 @@ class TestTrainCommand:
         assert run_train(synth_root, out) == 0
         before = file_bytes(out)
 
-        def interrupted_train(model, train_set, val_set, cfg):
+        def interrupted_train(model, train_set, val_set, cfg, *, on_epoch=None):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli.train_mod, "train", interrupted_train)

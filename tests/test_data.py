@@ -196,10 +196,11 @@ def _rngs(*seeds):
 
 
 class _FixedDraw:
-    """A draw stream that never flips or shifts and always rotates by ``angle``."""
+    """A draw stream that never flips, rotates by ``angle`` and shifts by (dy, dx)."""
 
-    def __init__(self, angle):
+    def __init__(self, angle, dy=0, dx=0):
         self.angle = angle
+        self.shifts = iter((dy, dx))
 
     def random(self):
         return 1.0
@@ -208,7 +209,7 @@ class _FixedDraw:
         return self.angle
 
     def integers(self, low, high):
-        return 0
+        return next(self.shifts)
 
 
 class TestAugment:
@@ -260,6 +261,20 @@ class TestAugment:
                 break
         else:
             pytest.fail("no nonzero shift drawn in 20 streams")
+
+    @pytest.mark.parametrize("dy, dx", [(2, -3), (-1, 4)])
+    def test_pure_shift_matches_roll_plus_fill(self, dy, dx):
+        img = np.zeros((32, 32))
+        img[10, 12] = 1.0  # a marked pixel moves to (10 + dy, 12 + dx)
+        cfg = AugmentConfig(hflip_prob=0.0, max_rotation_deg=0.0, max_shift_px=4,
+                            fill_value=0.25)
+        out = augment(_batch(img), cfg, [_FixedDraw(0.0, dy, dx)])
+        expect = np.roll(img, (dy, dx), axis=(0, 1))
+        rows = slice(None, dy) if dy > 0 else slice(32 + dy, None)
+        cols = slice(None, dx) if dx > 0 else slice(32 + dx, None)
+        expect[rows, :] = expect[:, cols] = 0.25  # what the roll wrapped in
+        assert out[0, 0, 10 + dy, 12 + dx] == 1.0
+        np.testing.assert_array_equal(out[0, 0], expect)
 
     @pytest.mark.parametrize("fill", [0.0, 0.37])
     def test_batch_equals_samples_one_at_a_time(self, fill):

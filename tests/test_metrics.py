@@ -157,6 +157,12 @@ class TestReportPlumbing:
         names = ["benign", "malignant", "normal"]
         assert default_positive_classes(names) == [0, 1]
 
+    def test_default_positive_classes_normal_not_last(self):
+        # sorted IQ-OTH/NCCD names put "Normal cases" last; any other position
+        # must still make the normal class the negative one
+        assert default_positive_classes(["Normal cases", "benign", "malignant"]) == [1, 2]
+        assert default_positive_classes(["benign", "normal", "malignant"]) == [0, 2]
+
     def test_default_positive_classes_fallback(self):
         assert default_positive_classes(["a", "b", "c"]) == [0, 1]
         assert default_positive_classes(["x", "y"]) == [0]

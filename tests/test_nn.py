@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -358,6 +359,62 @@ class TestModelBackward:
             model_backward(model, trace, np.zeros((1, 3)))
         with pytest.raises(InvalidState):
             model_backward(model, None, np.zeros((1, 3)))
+
+
+def _train_step(model, x, upstream):
+    _, trace = model_forward(model, x)
+    model_backward(model, trace, upstream)
+
+
+class TestWorkspace:
+    def test_backward_from_an_older_trace_raises(self):
+        rng = np.random.default_rng(20)
+        x1, x2 = rng.uniform(0, 1, (2, 2, 1, 32, 32))
+        upstream = rng.normal(size=(2, 3))
+        model = init_params(8)
+        model_forward(model, rng.uniform(0, 1, (5, 1, 32, 32)))  # larger buffers first
+        _, t1 = model_forward(model, x1)
+        _, t2 = model_forward(model, x2)
+        with pytest.raises(InvalidState):
+            model_backward(model, t1, upstream)
+        model_backward(model, t2, upstream)
+        fresh = init_params(8)
+        _train_step(fresh, x2, upstream)
+        for p, q in zip(model.param_list(), fresh.param_list()):
+            np.testing.assert_array_equal(p.grad, q.grad, err_msg=p.name)
+
+    def test_a_trace_of_another_model_raises(self):
+        x = np.random.default_rng(21).uniform(0, 1, (1, 1, 32, 32))
+        a, b = init_params(8), init_params(8)
+        _, trace = model_forward(a, x)
+        model_forward(b, x)
+        with pytest.raises(InvalidState):
+            model_backward(b, trace, np.zeros((1, 3)))
+
+    def test_same_shaped_steps_reuse_the_buffers(self):
+        rng = np.random.default_rng(22)
+        model = init_params(8)
+        _train_step(model, rng.uniform(0, 1, (4, 1, 32, 32)), rng.normal(size=(4, 3)))
+        first = dict(model.workspace.buffers)
+        assert set(first) == {"cols", "dout_t", "dx"}
+        _train_step(model, rng.uniform(0, 1, (4, 1, 32, 32)), rng.normal(size=(4, 3)))
+        for role, buffer in first.items():
+            assert np.shares_memory(model.workspace.buffers[role], buffer), role
+
+    def test_deepcopy_of_a_used_model_shares_no_buffer(self):
+        rng = np.random.default_rng(23)
+        x, upstream = rng.uniform(0, 1, (3, 1, 32, 32)), rng.normal(size=(3, 3))
+        model = init_params(8)
+        _train_step(model, x, upstream)
+        clone = copy.deepcopy(model)
+        for role, buffer in model.workspace.buffers.items():
+            assert not np.shares_memory(clone.workspace.buffers[role], buffer), role
+        for p, q in zip(model.param_list(), clone.param_list()):
+            assert not np.shares_memory(p.value, q.value), p.name
+        _train_step(model, x, upstream)
+        _train_step(clone, x, upstream)
+        for p, q in zip(model.param_list(), clone.param_list()):
+            np.testing.assert_array_equal(p.grad, q.grad, err_msg=p.name)
 
 
 class TestInitParams:
