@@ -37,7 +37,7 @@ class InvalidConfig(EngineError):
 
 
 class InvalidState(EngineError):
-    """An operation was called with a stale or missing forward trace."""
+    """A backward was called with a missing, consumed or another model's trace."""
 
 
 class InvalidPartition(EngineError):

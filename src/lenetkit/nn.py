@@ -18,17 +18,15 @@ the kernel gradient is dout[O, N*Ho*Wo] @ cols.T. A model owns a
 ``Workspace`` of grow-only scratch buffers that these GEMMs reuse across
 calls: one column buffer that conv1 and conv2 share (so at most one column
 matrix is alive), dout as [O, N*Ho*Wo], and conv2's input-gradient
-accumulator. After a forward the column buffer holds conv2's columns, which
-its backward reads; conv1's are rebuilt from the trace's input. So a trace is
-good only until the model's next forward, and ``model_backward`` raises
-``InvalidState`` for an older one. Everything a caller can hold (trace
-activations, probabilities, gradients) is a fresh array. The elementwise
-backward layers make one output-sized array each and work in it in place.
+accumulator. The workspace records whose columns the buffer holds: a backward
+reuses the columns its forward left there and builds any others from its input,
+so any unconsumed trace backpropagates exactly. Caller-held arrays (trace
+activations, probabilities, gradients) are fresh; the elementwise backward
+layers make one output-sized array each and work in it in place.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -76,19 +74,16 @@ def param_shapes(num_classes: int) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-_FORWARDS = itertools.count(1)  # serial numbers of model forwards, unique across models
-
-
 class Workspace:
     """Grow-only scratch buffers reused across calls, one flat buffer per role.
 
     ``take`` hands out a prefix of the role's buffer, so conv1 and conv2 share
     one column buffer and a small batch reuses a larger one's memory.
-    ``generation`` is the serial number of the model's latest forward.
+    ``holds`` is the (x, kh, kw) whose columns the column buffer holds, or None.
     """
 
     def __init__(self):
-        self.generation = 0
+        self.holds = None
         self.buffers: dict[str, np.ndarray] = {}
 
     def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -158,22 +153,35 @@ def init_params(seed: int, num_classes: int = 3) -> LeNetModel:
 # layer primitives
 # ---------------------------------------------------------------------------
 
-def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace, *,
-             fill: bool = True) -> np.ndarray:
+def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace) -> np.ndarray:
     """im2col into the workspace's column buffer: cols[C*kh*kw, N*Ho*Wo].
 
     Row (c,u,v), column (n,i,j) holds x[n,c,i+u,j+v]. The copy reads x's
     sliding windows as a strided view [N,C,Ho,Wo,kh,kw] and runs along j, Wo
-    contiguous values at a time. ``fill=False`` returns the buffer as it is,
-    for a backward whose forward left x's columns there.
+    contiguous values at a time. It is skipped when the buffer's record says
+    it holds these columns already.
     """
     n, c, h, w = x.shape
     ho, wo = h - kh + 1, w - kw + 1
     cols = ws.take("cols", (c, kh, kw, n, ho, wo))
-    if fill:
+    if ws.holds is None or ws.holds[0] is not x or ws.holds[1:] != (kh, kw):
         windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
         np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
+        ws.holds = (x, kh, kw)
     return cols.reshape(c * kh * kw, n * ho * wo)
+
+
+def _conv_dims(x: np.ndarray, kernel: np.ndarray) -> tuple[int, ...]:
+    """(N, C, H, W, O, kh, kw) of a valid cross-correlation of x with kernel."""
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise InvalidShape("conv2d expects x[N,C,H,W] and kernel[O,C,kh,kw]")
+    n, cin, h, w = x.shape
+    cout, cin_k, kh, kw = kernel.shape
+    if cin != cin_k:
+        raise InvalidShape(f"channel mismatch: x has {cin}, kernel expects {cin_k}")
+    if kh > h or kw > w:
+        raise InvalidShape(f"kernel {kh}x{kw} larger than input {h}x{w}")
+    return n, cin, h, w, cout, kh, kw
 
 
 def _param_grads(cols: np.ndarray, kernel: np.ndarray, dout: np.ndarray,
@@ -197,19 +205,14 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
     out[n,o,i,j] = bias[o] + sum_{c,u,v} x[n,c,i+u,j+v] * kernel[o,c,u,v]
 
     Computed as kernel[O, C*kh*kw] @ cols in ``workspace`` (a fresh one if
-    None), which still holds x's columns afterwards.
+    None), which holds x's columns afterwards. They are always rebuilt: a
+    caller may have refilled x in place since the buffer's record was made.
     """
-    if x.ndim != 4 or kernel.ndim != 4 or bias.ndim != 1:
-        raise InvalidShape("conv2d expects x[N,C,H,W], kernel[O,C,kh,kw], bias[O]")
-    n, cin, h, w = x.shape
-    cout, cin_k, kh, kw = kernel.shape
-    if cin != cin_k or bias.shape[0] != cout:
-        raise InvalidShape(
-            f"channel mismatch: x has {cin}, kernel expects {cin_k}/{cout}"
-        )
-    if kh > h or kw > w:
-        raise InvalidShape(f"kernel {kh}x{kw} larger than input {h}x{w}")
+    n, cin, h, w, cout, kh, kw = _conv_dims(x, kernel)
+    if bias.shape != (cout,):
+        raise InvalidShape(f"bias shape {bias.shape} != ({cout},)")
     ws = Workspace() if workspace is None else workspace
+    ws.holds = None
     ho, wo = h - kh + 1, w - kw + 1
     out_t = kernel.reshape(cout, -1) @ _columns(x, kh, kw, ws)
     out = np.ascontiguousarray(out_t.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
@@ -226,19 +229,17 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
     back onto x[n,c,i+u,j+v]. dx is summed in [C,N,H,W] order, the layout
     dcols is in, and transposed once at the end.
 
-    A given ``workspace`` must still hold x's columns from the
-    ``conv2d_forward`` that read x; without one they are built here.
+    The columns come from ``workspace`` when its record says it holds x's
+    for this kernel size; otherwise they are built here.
     """
-    n, cin, h, w = x.shape
-    cout, _, kh, kw = kernel.shape
+    n, cin, h, w, cout, kh, kw = _conv_dims(x, kernel)
     ho, wo = h - kh + 1, w - kw + 1
     if dout.shape != (n, cout, ho, wo):
-        raise InvalidShape(
-            f"dout shape {dout.shape} != forward output shape {(n, cout, ho, wo)}"
-        )
+        raise InvalidShape(f"dout shape {dout.shape} != output shape {(n, cout, ho, wo)}")
     ws = Workspace() if workspace is None else workspace
-    cols = _columns(x, kh, kw, ws, fill=workspace is None)
+    cols = _columns(x, kh, kw, ws)
     dout_t, dkernel, dbias = _param_grads(cols, kernel, dout, ws)
+    ws.holds = None
     dcols = np.matmul(kernel.reshape(cout, -1).T, dout_t, out=cols)  # columns are spent
     dcols = dcols.reshape(cin, kh, kw, n, ho, wo)
     dx = ws.take("dx", (cin, n, h, w))
@@ -337,9 +338,9 @@ def softmax(z: np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """Cached activations one forward pass leaves behind for backward.
 
-    Consumed exactly once, and only before the model's next forward: a
-    second backward from the same trace, or one from an older forward,
-    raises ``InvalidState``.
+    Consumed exactly once, by a backward of the model that made it, at any
+    time: a second backward from the same trace, or a backward of another
+    model, raises ``InvalidState``.
     """
 
     x: np.ndarray        # [N,1,32,32] model input
@@ -351,7 +352,7 @@ class ForwardTrace:
     sig4: np.ndarray     # [N,84]
     logits: np.ndarray   # [N,K] pre-softmax
     probs: np.ndarray    # [N,K]
-    generation: int      # the forward's serial number in the model's workspace
+    model: LeNetModel    # the model whose forward made this trace
     consumed: bool = field(default=False)
 
 
@@ -368,7 +369,6 @@ def model_forward(model: LeNetModel, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     p = model.params
     ws = model.workspace
-    ws.generation = next(_FORWARDS)
 
     sig1 = sigmoid_forward(conv2d_forward(x, p["conv1.kernel"].value,
                                           p["conv1.bias"].value, workspace=ws))
@@ -386,7 +386,7 @@ def model_forward(model: LeNetModel, x: np.ndarray):
 
     trace = ForwardTrace(x=x, sig1=sig1, pool1=pool1, sig2=sig2, flat=flat,
                          sig3=sig3, sig4=sig4, logits=logits, probs=probs,
-                         generation=ws.generation)
+                         model=model)
     return probs, trace
 
 
@@ -400,8 +400,8 @@ def model_backward(model: LeNetModel, trace: ForwardTrace | None,
     """
     if trace is None or trace.consumed:
         raise InvalidState("forward trace is missing or already consumed")
-    if trace.generation != model.workspace.generation:
-        raise InvalidState("forward trace is stale: a later forward reused its buffers")
+    if trace.model is not model:
+        raise InvalidState("forward trace was made by another model")
     if upstream.shape != trace.logits.shape:
         raise InvalidShape(
             f"upstream shape {upstream.shape} != logits shape {trace.logits.shape}"

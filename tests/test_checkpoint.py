@@ -204,6 +204,22 @@ class TestErrorPaths:
         with pytest.raises(UnsupportedVersion):
             load_checkpoint(path)
 
+    def test_empty_parameter_table_is_the_shortest_loadable_file(self, tmp_path):
+        path = tmp_path / "empty.lnck"
+        save_checkpoint(path, Checkpoint(num_classes=3, params={}))
+        assert path.stat().st_size == 24  # magic, version, classes, count, CRC
+        ckpt = load_checkpoint(path)
+        assert ckpt.num_classes == 3 and ckpt.params == {}
+        with pytest.raises(CorruptCheckpoint, match="does not fit the model"):
+            checkpoint_to_model(ckpt)
+
+    def test_one_byte_under_the_minimum_is_too_short(self, tmp_path):
+        path = tmp_path / "short.lnck"
+        save_checkpoint(path, Checkpoint(num_classes=3, params={}))
+        path.write_bytes(path.read_bytes()[:23])
+        with pytest.raises(CorruptCheckpoint, match="too short"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(tmp_path / "absent.lnck")

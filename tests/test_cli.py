@@ -472,6 +472,31 @@ class TestExportCurves:
         for line in polylines:
             assert len(line.attrib["points"].split()) == len(rows) - 1
 
+    def test_svg_coordinates_follow_the_panel_constants(self, tmp_path):
+        csv_path = tmp_path / "two.csv"
+        csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                            "1,1.0,0.25,0.5,0.5\n3,0.5,0.75,0.25,1.0\n")
+        svg_path = tmp_path / "two.svg"
+        assert cli.main(["export-curves", "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 0
+        svg, ns = ET.parse(svg_path).getroot(), "{http://www.w3.org/2000/svg}"
+        # Panels are 420x300 with their corners at (60, 40) and (580, 40).
+        # Epochs 1..3 pad by 5% to 0.9..3.1: x = ox + 420 * (e - 0.9) / 2.2,
+        # ox + 19.09 and ox + 400.91. Both panels' values span 0.25..1, padded
+        # to 0.2125..1.0375: y = 340 - 300 * (v - 0.2125) / 0.825, which is
+        # 53.64, 144.55, 235.45 and 326.36 for 1, 0.75, 0.5 and 0.25.
+        assert [line.get("points") for line in svg.iter(ns + "polyline")] == [
+            "79.09,53.64 460.91,235.45", "79.09,235.45 460.91,326.36",
+            "599.09,326.36 980.91,144.55", "599.09,235.45 980.91,53.64"]
+        # "epoch" is centred 34 below each panel; the y-label 44 left of it, at
+        # mid-height, rotated about its own anchor.
+        labels = [(t.text, t.get("x"), t.get("y"), t.get("transform"))
+                  for t in svg.iter(ns + "text") if t.get("font-size") == "12"]
+        assert labels == [("epoch", "270", "374", None),
+                          ("loss", "16", "190", "rotate(-90 16 190)"),
+                          ("epoch", "790", "374", None),
+                          ("accuracy", "536", "190", "rotate(-90 536 190)")]
+
     def test_single_row_csv(self, tmp_path):
         csv_path = tmp_path / "one.csv"
         csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from lenetkit.errors import InvalidShape, InvalidState
 from lenetkit.nn import (
     LeNetModel,
+    Workspace,
     avgpool2d_backward,
     avgpool2d_forward,
     conv2d_backward,
@@ -111,6 +112,15 @@ class TestConvBackward:
         with pytest.raises(InvalidShape):
             conv2d_backward(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 3, 3)),
                             np.zeros((1, 1, 2, 2)))
+
+    @pytest.mark.parametrize("x_shape, k_shape, dout_shape", [
+        ((1, 5, 5), (1, 1, 3, 3), (1, 1, 3, 3)),     # x of rank 3
+        ((1, 2, 5, 5), (1, 1, 3, 3), (1, 1, 3, 3)),  # x/kernel channel mismatch
+        ((1, 1, 3, 3), (1, 1, 4, 4), (1, 1, 0, 0)),  # kernel larger than x
+    ])
+    def test_bad_x_or_kernel_raises_invalid_shape(self, x_shape, k_shape, dout_shape):
+        with pytest.raises(InvalidShape):
+            conv2d_backward(np.zeros(x_shape), np.zeros(k_shape), np.zeros(dout_shape))
 
 
 class TestAvgPool:
@@ -250,6 +260,10 @@ class TestSoftmax:
         p = softmax(np.array([[0.0, math.log(2.0)]]))
         np.testing.assert_allclose(p, [[1.0 / 3.0, 2.0 / 3.0]], rtol=1e-12)
 
+    def test_large_logits_neither_overflow_nor_underflow_to_nan(self):
+        p = softmax(np.array([[1000.0, 0.0], [-1000.0, -1000.0]]))
+        np.testing.assert_array_equal(p, [[1.0, 0.0], [0.5, 0.5]])
+
     def test_rows_normalized_and_bounded(self):
         # strict (0,1) openness holds while logit gaps stay below ~36,
         # where float64 exp() can still distinguish the competitors
@@ -367,7 +381,7 @@ def _train_step(model, x, upstream):
 
 
 class TestWorkspace:
-    def test_backward_from_an_older_trace_raises(self):
+    def test_an_older_trace_backpropagates_after_later_forwards(self):
         rng = np.random.default_rng(20)
         x1, x2 = rng.uniform(0, 1, (2, 2, 1, 32, 32))
         upstream = rng.normal(size=(2, 3))
@@ -375,13 +389,46 @@ class TestWorkspace:
         model_forward(model, rng.uniform(0, 1, (5, 1, 32, 32)))  # larger buffers first
         _, t1 = model_forward(model, x1)
         _, t2 = model_forward(model, x2)
+        model_forward(model, rng.uniform(0, 1, (3, 1, 32, 32)))
+        for x, trace in ((x1, t1), (x2, t2)):
+            model_backward(model, trace, upstream)
+            fresh = init_params(8)
+            _train_step(fresh, x, upstream)
+            for p, q in zip(model.param_list(), fresh.param_list()):
+                np.testing.assert_array_equal(p.grad, q.grad, err_msg=p.name)
+
+    def test_backward_equals_the_bare_call_whatever_the_workspace_holds(self):
+        rng = np.random.default_rng(24)
+        x, other = rng.normal(size=(2, 2, 3, 7, 7))
+        k, k_t = rng.normal(size=(4, 3, 3, 2)), rng.normal(size=(4, 3, 2, 3))
+        b, dout = np.zeros(4), rng.normal(size=(2, 4, 5, 6))
+        bare = conv2d_backward(x, k, dout)
+        # another input's columns; x's for a transposed kernel of the same size;
+        # x's own, which the first backward reuses and the second finds spent
+        for held, kernel, calls in ((other, k, 1), (x, k_t, 1), (x, k, 2)):
+            ws = Workspace()
+            conv2d_forward(held, kernel, b, workspace=ws)
+            for _ in range(calls):
+                for got, want in zip(conv2d_backward(x, k, dout, workspace=ws), bare):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_forward_on_an_array_refilled_in_place_equals_a_fresh_call(self):
+        rng = np.random.default_rng(25)
+        x, k, b = rng.normal(size=(2, 3, 7, 7)), rng.normal(size=(4, 3, 3, 3)), np.ones(4)
+        ws = Workspace()
+        conv2d_forward(x, k, b, workspace=ws)
+        x[...] = rng.normal(size=x.shape)
+        np.testing.assert_array_equal(conv2d_forward(x, k, b, workspace=ws),
+                                      conv2d_forward(x, k, b))
+
+    def test_a_consumed_trace_raises_after_later_forwards(self):
+        rng = np.random.default_rng(26)
+        model = init_params(8)
+        _, trace = model_forward(model, rng.uniform(0, 1, (2, 1, 32, 32)))
+        model_backward(model, trace, np.zeros((2, 3)))
+        model_forward(model, rng.uniform(0, 1, (2, 1, 32, 32)))
         with pytest.raises(InvalidState):
-            model_backward(model, t1, upstream)
-        model_backward(model, t2, upstream)
-        fresh = init_params(8)
-        _train_step(fresh, x2, upstream)
-        for p, q in zip(model.param_list(), fresh.param_list()):
-            np.testing.assert_array_equal(p.grad, q.grad, err_msg=p.name)
+            model_backward(model, trace, np.zeros((2, 3)))
 
     def test_a_trace_of_another_model_raises(self):
         x = np.random.default_rng(21).uniform(0, 1, (1, 1, 32, 32))
