@@ -265,7 +265,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ckpt = ckpt_mod.load_checkpoint(args.checkpoint)
     model = ckpt_mod.checkpoint_to_model(ckpt)
     pixels = data_mod.load_image(args.image)
-    probs, _ = model_forward(model, pixels[None, :, :, :])
+    probs, _ = model_forward(model, pixels[None, :, :, :], for_backward=False)
     probs = probs[0]
     index = int(np.argmax(probs))
     names = ckpt.class_names or [f"class_{i}" for i in range(ckpt.num_classes)]

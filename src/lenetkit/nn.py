@@ -20,9 +20,14 @@ calls: one column buffer that conv1 and conv2 share (so at most one column
 matrix is alive), dout as [O, N*Ho*Wo], and conv2's input-gradient
 accumulator. The workspace records whose columns the buffer holds: a backward
 reuses the columns its forward left there and builds any others from its input,
-so any unconsumed trace backpropagates exactly. Caller-held arrays (trace
-activations, probabilities, gradients) are fresh; the elementwise backward
+so any unconsumed trace backpropagates exactly. A traced forward's activations,
+the probabilities and the gradients are fresh arrays; the elementwise backward
 layers make one output-sized array each and work in it in place.
+
+A forward-only pass (``model_forward(..., for_backward=False)``, which
+``evaluate`` and ``predict`` run) keeps its activations in workspace buffers
+too, and builds each conv's columns at most CONV_BLOCK = 8 images at a time
+(1.25 MB for conv1, a block that stays in L2). No backward can read its trace.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import InvalidShape, InvalidState
 
 IMAGE_SIZE = 32
 FLAT_FEATURES = 400  # 16 channels x 5 x 5 after the second pooling
+CONV_BLOCK = 8  # images per column block when conv2d_forward is given ``out``
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +84,9 @@ class Workspace:
     """Grow-only scratch buffers reused across calls, one flat buffer per role.
 
     ``take`` hands out a prefix of the role's buffer, so conv1 and conv2 share
-    one column buffer and a small batch reuses a larger one's memory.
+    one column buffer and a small batch reuses a larger one's memory. Roles:
+    "cols", "dout_t" and "dx" for the convs, and "sig1", "pool1", "sig2" and
+    "flat" for a forward-only pass's activations.
     ``holds`` is the (x, kh, kw) whose columns the column buffer holds, or None.
     """
 
@@ -157,7 +165,7 @@ def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace) -> np.ndarray:
     """im2col into the workspace's column buffer: cols[C*kh*kw, N*Ho*Wo].
 
     Row (c,u,v), column (n,i,j) holds x[n,c,i+u,j+v]. The copy reads x's
-    sliding windows as a strided view [N,C,Ho,Wo,kh,kw] and runs along j, Wo
+    sliding windows as a strided view [C,kh,kw,N,Ho,Wo] and runs along j, Wo
     contiguous values at a time. It is skipped when the buffer's record says
     it holds these columns already.
     """
@@ -165,8 +173,9 @@ def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace) -> np.ndarray:
     ho, wo = h - kh + 1, w - kw + 1
     cols = ws.take("cols", (c, kh, kw, n, ho, wo))
     if ws.holds is None or ws.holds[0] is not x or ws.holds[1:] != (kh, kw):
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
+        sn, sc, sh, sw = x.strides
+        np.copyto(cols, np.lib.stride_tricks.as_strided(
+            x, cols.shape, (sc, sh, sw, sn, sh, sw), writeable=False))
         ws.holds = (x, kh, kw)
     return cols.reshape(c * kh * kw, n * ho * wo)
 
@@ -199,7 +208,8 @@ def _param_grads(cols: np.ndarray, kernel: np.ndarray, dout: np.ndarray,
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
-                   workspace: Workspace | None = None) -> np.ndarray:
+                   workspace: Workspace | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Valid cross-correlation.
 
     out[n,o,i,j] = bias[o] + sum_{c,u,v} x[n,c,i+u,j+v] * kernel[o,c,u,v]
@@ -207,6 +217,17 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
     Computed as kernel[O, C*kh*kw] @ cols in ``workspace`` (a fresh one if
     None), which holds x's columns afterwards. They are always rebuilt: a
     caller may have refilled x in place since the buffer's record was made.
+
+    Given ``out``, a C-contiguous channel-major [O,N,Ho,Wo] array, the
+    columns are built one block of images at a time and each block's GEMM
+    writes straight into out[:, block]; the workspace holds no columns
+    afterwards, and the result is the [N,O,Ho,Wo] view ``out.transpose(1, 0,
+    2, 3)``. Blocks hold CONV_BLOCK images, except that a last block shorter
+    than half a block takes half a block from the one before. The values are
+    those of the call without ``out``, and for LeNet's convs the bits too:
+    every block but the last spans whole 16-column register tiles (4 conv2
+    images are 400 columns), and no 1- or 3-image conv2 GEMM, whose ragged
+    end OpenBLAS's small-matrix kernel rounds differently, follows a wider one.
     """
     n, cin, h, w, cout, kh, kw = _conv_dims(x, kernel)
     if bias.shape != (cout,):
@@ -214,10 +235,24 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
     ws = Workspace() if workspace is None else workspace
     ws.holds = None
     ho, wo = h - kh + 1, w - kw + 1
-    out_t = kernel.reshape(cout, -1) @ _columns(x, kh, kw, ws)
-    out = np.ascontiguousarray(out_t.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
-    out += bias[None, :, None, None]  # in place: no second output-sized array
-    return out
+    k = kernel.reshape(cout, -1)
+    if out is None:
+        out_t = k @ _columns(x, kh, kw, ws)
+        out = np.ascontiguousarray(out_t.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
+        out += bias[None, :, None, None]  # in place: no second output-sized array
+        return out
+    if out.shape != (cout, n, ho, wo) or not out.flags.c_contiguous:
+        raise InvalidShape(f"out must be a C-contiguous {(cout, n, ho, wo)} array,"
+                           f" got {out.shape}")
+    starts = list(range(0, n, CONV_BLOCK))
+    if n > CONV_BLOCK and n - starts[-1] < CONV_BLOCK // 2:
+        starts[-1] -= CONV_BLOCK // 2
+    for start, stop in zip(starts, starts[1:] + [n]):
+        block = out[:, start:stop]
+        np.matmul(k, _columns(x[start:stop], kh, kw, ws), out=block.reshape(cout, -1))
+        block += bias[:, None, None, None]
+    ws.holds = None  # the buffer holds only the last block's columns
+    return out.transpose(1, 0, 2, 3)
 
 
 def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
@@ -250,14 +285,18 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
     return np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dkernel, dbias
 
 
-def avgpool2d_forward(x: np.ndarray) -> np.ndarray:
-    """2x2 average pooling with stride 2; H and W must be even."""
+def avgpool2d_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """2x2 average pooling with stride 2; H and W must be even.
+
+    ``out``, if given, is an [N,C,H/2,W/2] array (of any strides) written and
+    returned in place of a fresh one.
+    """
     if x.ndim != 4:
         raise InvalidShape("avgpool2d expects x[N,C,H,W]")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise InvalidShape(f"avgpool2d needs even spatial dims, got {h}x{w}")
-    out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    out = np.add(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], out=out)
     out += x[:, :, 1::2, 0::2]
     out += x[:, :, 1::2, 1::2]
     out *= 0.25
@@ -278,14 +317,15 @@ def avgpool2d_backward(x_shape: tuple[int, ...], dout: np.ndarray) -> np.ndarray
     return dx
 
 
-def sigmoid_forward(x: np.ndarray) -> np.ndarray:
+def sigmoid_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """y = 1 / (1 + exp(-x)) as 0.5 * tanh(0.5 * x) + 0.5, in one float64 buffer.
 
     tanh saturates, so no finite x overflows. The tail is accurate in absolute
     terms only: sigmoid(-40) returns 0, not 4.2e-18. No caller divides by a
-    sigmoid output, since the losses work from logits.
+    sigmoid output, since the losses work from logits. The buffer is ``out``
+    if given (``out=x`` runs in place), else a fresh array.
     """
-    out = np.multiply(x, 0.5, dtype=np.float64)
+    out = np.multiply(x, 0.5, out=out, dtype=np.float64)
     np.tanh(out, out=out)
     out *= 0.5
     out += 0.5
@@ -356,27 +396,48 @@ class ForwardTrace:
     consumed: bool = field(default=False)
 
 
-def model_forward(model: LeNetModel, x: np.ndarray):
+def model_forward(model: LeNetModel, x: np.ndarray, *, for_backward: bool = True):
     """Run the full stack; returns (probs[N,K], trace).
 
     The input must be exactly [N, 1, 32, 32]; anything else raises rather
     than cropping or padding.
+
+    With ``for_backward=False`` the pass is forward-only: each conv writes
+    its output block by block into a channel-major [C,N,H,W] buffer of the
+    model's workspace and its sigmoid runs there in place; pool1 and pool2
+    write workspace buffers too, pool2 straight into ``flat``. The trace is
+    born consumed, so ``model_backward`` refuses it; its activations up to
+    ``flat`` are views of those buffers, which the model's next forward-only
+    pass overwrites. ``logits`` and ``probs`` are fresh arrays, with the bits
+    of the traced pass.
     """
     if x.ndim != 4 or x.shape[1:] != (1, IMAGE_SIZE, IMAGE_SIZE):
         raise InvalidShape(
             f"model input must be [N,1,{IMAGE_SIZE},{IMAGE_SIZE}], got {x.shape}"
         )
     x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
     p = model.params
     ws = model.workspace
 
-    sig1 = sigmoid_forward(conv2d_forward(x, p["conv1.kernel"].value,
-                                          p["conv1.bias"].value, workspace=ws))
-    pool1 = avgpool2d_forward(sig1)
-    sig2 = sigmoid_forward(conv2d_forward(pool1, p["conv2.kernel"].value,
-                                          p["conv2.bias"].value, workspace=ws))
-    pool2 = avgpool2d_forward(sig2)
-    flat = pool2.reshape(x.shape[0], FLAT_FEATURES)
+    if for_backward:
+        sig1 = sigmoid_forward(conv2d_forward(x, p["conv1.kernel"].value,
+                                              p["conv1.bias"].value, workspace=ws))
+        pool1 = avgpool2d_forward(sig1)
+        sig2 = sigmoid_forward(conv2d_forward(pool1, p["conv2.kernel"].value,
+                                              p["conv2.bias"].value, workspace=ws))
+        flat = avgpool2d_forward(sig2).reshape(n, FLAT_FEATURES)
+    else:
+        sig1 = conv2d_forward(x, p["conv1.kernel"].value, p["conv1.bias"].value,
+                              workspace=ws, out=ws.take("sig1", (6, n, 28, 28)))
+        sigmoid_forward(sig1, out=sig1)
+        pool1 = avgpool2d_forward(
+            sig1, out=ws.take("pool1", (6, n, 14, 14)).transpose(1, 0, 2, 3))
+        sig2 = conv2d_forward(pool1, p["conv2.kernel"].value, p["conv2.bias"].value,
+                              workspace=ws, out=ws.take("sig2", (16, n, 10, 10)))
+        sigmoid_forward(sig2, out=sig2)
+        flat = ws.take("flat", (n, FLAT_FEATURES))
+        avgpool2d_forward(sig2, out=flat.reshape(n, 16, 5, 5))
     sig3 = sigmoid_forward(dense_forward(flat, p["fc1.weight"].value,
                                          p["fc1.bias"].value))
     sig4 = sigmoid_forward(dense_forward(sig3, p["fc2.weight"].value,
@@ -386,7 +447,7 @@ def model_forward(model: LeNetModel, x: np.ndarray):
 
     trace = ForwardTrace(x=x, sig1=sig1, pool1=pool1, sig2=sig2, flat=flat,
                          sig3=sig3, sig4=sig4, logits=logits, probs=probs,
-                         model=model)
+                         model=model, consumed=not for_backward)
     return probs, trace
 
 

@@ -101,6 +101,9 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
 
     Batches are taken in fixed index order with a fixed batch size, so the
     reduced loss is bitwise reproducible. The parameters are never mutated.
+    Each chunk runs a forward-only ``model_forward``: its activations and
+    8-image column blocks reuse the model's workspace buffers from chunk to
+    chunk, and its logits have the bits a traced forward would give.
     """
     samples = dataset.samples
     if not samples:
@@ -110,7 +113,7 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
     preds = np.empty(len(samples), dtype=np.int64)
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start:start + EVAL_BATCH]
-        probs, trace = model_forward(model, _stack_pixels(chunk))
+        probs, trace = model_forward(model, _stack_pixels(chunk), for_backward=False)
         out = _compute_loss(trace.logits, labels[start:start + len(chunk)],
                             loss_kind, focal_cfg)
         loss_sum += float(out.per_sample.sum())

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lenetkit.data import Dataset, Sample
 from lenetkit.errors import InvalidShape, InvalidState
 from lenetkit.nn import (
+    CONV_BLOCK,
     LeNetModel,
     Workspace,
     avgpool2d_backward,
@@ -26,6 +28,7 @@ from lenetkit.nn import (
     sigmoid_forward,
     softmax,
 )
+from lenetkit.train import evaluate
 
 FD_TOL = 1e-4
 
@@ -74,6 +77,28 @@ class TestConvForward:
     def test_kernel_larger_than_input(self):
         with pytest.raises(InvalidShape):
             conv2d_forward(np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 4, 4)), np.zeros(1))
+
+    # n images -> the largest block: blocks of CONV_BLOCK = 8, a last one
+    # shorter than 4 merged with half of the one before
+    @pytest.mark.parametrize("n, largest", [(1, 1), (3, 3), (8, 8), (9, 5), (11, 7), (12, 8)])
+    def test_blocked_into_out_equals_the_plain_call(self, n, largest):
+        rng = np.random.default_rng(n)
+        x, k, b = rng.normal(size=(n, 2, 6, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+        ws, out = Workspace(), np.full((3, n, 4, 5), np.nan)
+        got = conv2d_forward(x, k, b, workspace=ws, out=out)
+        # equal values; the last bit may differ where a block's GEMM rounds
+        # unlike the whole one's (LeNet's own shapes are checked bit for bit)
+        np.testing.assert_allclose(got, conv2d_forward(x, k, b), rtol=1e-13, atol=1e-13)
+        assert got.base is out and ws.holds is None
+        assert ws.buffers["cols"].size == 2 * 3 * 3 * largest * 4 * 5
+
+    @pytest.mark.parametrize("out", [np.zeros((3, 2, 4, 6)), np.zeros((2, 3, 4, 5)),
+                                     np.zeros((3, 2, 4)),
+                                     np.zeros((2, 3, 4, 5)).transpose(1, 0, 2, 3)])
+    def test_out_of_the_wrong_shape_or_layout_raises(self, out):
+        x, k = np.zeros((2, 2, 6, 7)), np.zeros((3, 2, 3, 3))  # out must be [3,2,4,5], C order
+        with pytest.raises(InvalidShape):
+            conv2d_forward(x, k, np.zeros(3), out=out)
 
 
 class TestConvBackward:
@@ -306,6 +331,59 @@ class TestModelForward:
         model = init_params(3)
         with pytest.raises(InvalidShape):
             model_forward(model, np.zeros(shape))
+        with pytest.raises(InvalidShape):
+            model_forward(model, np.zeros(shape), for_backward=False)
+
+
+class TestForwardOnly:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 60, 64])
+    def test_equals_the_traced_forward_bit_for_bit(self, n):
+        model = init_params(9)
+        x = np.random.default_rng(30 + n).uniform(0, 1, (n, 1, 32, 32))
+        _, traced = model_forward(model, x)
+        probs, trace = model_forward(model, x, for_backward=False)
+        assert probs is trace.probs
+        for name in ("sig1", "pool1", "sig2", "flat", "sig3", "sig4", "logits", "probs"):
+            np.testing.assert_array_equal(getattr(trace, name), getattr(traced, name),
+                                          err_msg=name)
+
+    def test_its_trace_is_born_consumed(self):
+        model = init_params(9)
+        _, trace = model_forward(model, np.zeros((2, 1, 32, 32)), for_backward=False)
+        assert trace.consumed
+        with pytest.raises(InvalidState):
+            model_backward(model, trace, np.zeros((2, 3)))
+
+    def test_same_shaped_calls_reuse_the_buffers_and_fresh_outputs(self):
+        rng = np.random.default_rng(31)
+        model = init_params(9)
+        _, first = model_forward(model, rng.uniform(0, 1, (5, 1, 32, 32)), for_backward=False)
+        logits = first.logits.copy()
+        _, second = model_forward(model, rng.uniform(0, 1, (5, 1, 32, 32)),
+                                  for_backward=False)
+        for name in ("sig1", "pool1", "sig2", "flat"):
+            assert np.shares_memory(getattr(first, name), getattr(second, name)), name
+        for name in ("logits", "probs"):
+            assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+        np.testing.assert_array_equal(first.logits, logits)
+
+    def test_activations_are_channel_major_views_of_the_workspace(self):
+        model = init_params(9)
+        _, trace = model_forward(model, np.zeros((3, 1, 32, 32)), for_backward=False)
+        assert [getattr(trace, name).shape for name in ("sig1", "pool1", "sig2", "flat")] == [
+            (3, 6, 28, 28), (3, 6, 14, 14), (3, 16, 10, 10), (3, 400)]
+        for name in ("sig1", "pool1", "sig2", "flat"):  # each in its own role's buffer
+            assert np.shares_memory(getattr(trace, name), model.workspace.buffers[name]), name
+        for name in ("sig1", "pool1", "sig2"):
+            assert getattr(trace, name).transpose(1, 0, 2, 3).flags.c_contiguous, name
+
+    def test_evaluate_holds_at_most_one_conv1_block_of_columns(self):
+        rng = np.random.default_rng(32)
+        samples = [Sample(rng.uniform(0, 1, (1, 32, 32)), i % 3, f"s{i}") for i in range(64)]
+        model = init_params(9)
+        evaluate(model, Dataset(samples, ["a", "b", "c"], "test"))
+        assert model.workspace.buffers["cols"].size <= 25 * CONV_BLOCK * 28 * 28
+        assert model.workspace.holds is None
 
 
 class TestModelBackward:
@@ -389,6 +467,7 @@ class TestWorkspace:
         model_forward(model, rng.uniform(0, 1, (5, 1, 32, 32)))  # larger buffers first
         _, t1 = model_forward(model, x1)
         _, t2 = model_forward(model, x2)
+        model_forward(model, rng.uniform(0, 1, (64, 1, 32, 32)), for_backward=False)
         model_forward(model, rng.uniform(0, 1, (3, 1, 32, 32)))
         for x, trace in ((x1, t1), (x2, t2)):
             model_backward(model, trace, upstream)

@@ -104,6 +104,17 @@ class TestEvaluate:
         _, acc, _ = evaluate(model, one)
         assert acc == 1.0
 
+    def test_loss_and_predictions_over_chunks_match_one_traced_pass(self):
+        model = init_params(11)
+        ds = tiny_dataset(n_per_class=25)  # 75 images: chunks of 64 and 11
+        labels = [s.label for s in ds.samples]
+        probs, trace = model_forward(model, np.stack([s.pixels for s in ds.samples]))
+        loss, acc, cm = evaluate(model, ds)
+        np.testing.assert_allclose(loss, cross_entropy(trace.logits, labels).mean_loss,
+                                   rtol=1e-13)
+        assert acc == np.mean(np.argmax(probs, axis=1) == labels)
+        assert cm.total == 75
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
             evaluate(init_params(9), Dataset([], ["a"], "train"))
