@@ -14,15 +14,23 @@ Binary layout, all integers little-endian:
         values                 f64 IEEE-754, row-major
     crc                        u64, CRC-64 over all preceding bytes
 
-The CRC is CRC-64/XZ (reflected ECMA-182 polynomial). It is computed over
+The CRC is CRC-64/XZ (reflected ECMA-182 polynomial), the check of the .xz
+file format. The writer computes it with numpy (``crc64``) over
 ``_CRC64_LANES`` contiguous slices of the input at once, each numpy step
 advancing every slice by one byte through the byte table; the slice CRCs are
 then folded pairwise with the GF(2)-linear "feed k zero bytes" map, as zlib's
 ``crc32_combine`` does, and the bytes after the last whole slice go through
 the plain per-byte loop. The value is the same as the byte-at-a-time CRC's,
-so the format does not depend on how it is computed. Loading verifies magic,
-CRC, then structure; a truncated or tampered file never yields a partial
-model.
+so the format does not depend on how it is computed.
+
+The reader checks the stored value through the stdlib ``lzma`` module
+instead, in C: about 0.15 ms for a 489 KB body, where ``crc64`` takes about
+6 ms. ``_crc_matches`` frames the body as an in-memory .xz stream
+(https://tukaani.org/xz/xz-file-format.txt) whose one block holds the body as
+stored, uncompressed LZMA2 chunks and the file's stored CRC as its CRC-64
+check, and liblzma rejects the stream unless the two agree. Loading verifies
+magic, CRC, then structure; a truncated or tampered file never yields a
+partial model.
 
 Run metadata that is not part of the binary contract (class names, the
 training config echo, the final epoch record) travels in an optional JSON
@@ -37,9 +45,11 @@ from __future__ import annotations
 
 import contextlib
 import json
+import lzma
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,6 +126,59 @@ def crc64(data: bytes) -> int:
     for b in data[_CRC64_LANES * span:]:
         crc = _CRC64_TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFFFFFFFFFF
+
+
+# The fixed parts of the .xz stream that ``_crc_matches`` builds. Stream flags:
+# check type 4, CRC-64. Block header: its size as (2 + 1) * 4 bytes, block flags
+# (one filter, no sizes), filter 0x21 (LZMA2) with one property byte, 0 (a 4 KiB
+# dictionary: stored chunks only pass through it), padding to four bytes, CRC-32.
+_XZ_FLAGS = b"\x00\x04"
+_XZ_HEADER = b"\xfd7zXZ\x00" + _XZ_FLAGS + struct.pack("<I", zlib.crc32(_XZ_FLAGS))
+_XZ_BLOCK_FIELDS = b"\x02\x00\x21\x01\x00\x00\x00\x00"
+_XZ_BLOCK_HEADER = _XZ_BLOCK_FIELDS + struct.pack("<I", zlib.crc32(_XZ_BLOCK_FIELDS))
+_LZMA2_CHUNK = 1 << 16  # the most bytes one stored LZMA2 chunk holds
+# A liblzma built without CRC-64 would skip the check silently, so the numpy
+# CRC stands in for it there.
+_LZMA_CHECKS_CRC64 = lzma.is_check_supported(lzma.CHECK_CRC64)
+
+
+def _varint(n: int) -> bytes:
+    """The .xz multibyte integer: seven bits a byte, least significant first."""
+    out = bytearray()
+    while n >= 0x80:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def _crc_matches(body: bytes, stored: int) -> bool:
+    """Whether ``stored`` is the CRC-64/XZ of ``body``, as liblzma checks it."""
+    if not _LZMA_CHECKS_CRC64:
+        return crc64(body) == stored
+    view = memoryview(body)
+    parts = [_XZ_HEADER, _XZ_BLOCK_HEADER]
+    for start in range(0, len(body), _LZMA2_CHUNK):
+        # control byte 1 resets the dictionary, 2 keeps it; then size - 1, big-endian
+        chunk = view[start:start + _LZMA2_CHUNK]
+        parts += (struct.pack(">BH", 2 if start else 1, len(chunk) - 1), chunk)
+    block = sum(map(len, parts[1:])) + 1  # header and chunks, then the end marker
+    # the LZMA2 end marker, block padding, then the check
+    parts += (bytes(1 + -block % 4), struct.pack("<Q", stored))
+    # the index: indicator, one record (the block's size unpadded, the body's size)
+    index = b"\x00\x01" + _varint(block + 8) + _varint(len(body))
+    index += bytes(-len(index) % 4)
+    index += struct.pack("<I", zlib.crc32(index))
+    footer = struct.pack("<I", len(index) // 4 - 1) + _XZ_FLAGS
+    parts += (index, struct.pack("<I", zlib.crc32(footer)), footer, b"YZ")
+    # fed part by part, the stream is never joined into one copy of the body
+    decoder = lzma.LZMADecompressor(lzma.FORMAT_XZ)
+    try:
+        for part in parts:
+            decoder.decompress(part)
+    except lzma.LZMAError:
+        return False
+    return decoder.eof
 
 
 @dataclass
@@ -234,7 +297,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"checkpoint {path} has bad magic {raw[:4]!r}, expected {MAGIC!r}"
         )
     body, stored = raw[:-8], struct.unpack("<Q", raw[-8:])[0]
-    if crc64(body) != stored:
+    if not _crc_matches(body, stored):
         raise CorruptCheckpoint(f"checkpoint {path} failed CRC verification")
 
     r = _Reader(body)

@@ -64,6 +64,97 @@ def test_crc64_matches_bitwise_reference_on_random_bytes(n, seed):
     assert crc64(data) == crc64_bitwise(data)
 
 
+_CHUNK = ckpt_mod._LZMA2_CHUNK
+# bytes that look like .xz framing: stream header magic and flags, footer magic,
+# and runs of the LZMA2 control bytes (end marker, stored chunk, stored chunk
+# without a dictionary reset)
+_XZ_LOOKING = (b"\xfd7zXZ\x00\x00\x04" + b"YZ" + bytes(9) + b"\x01" * 7 + b"\x02" * 5
+               + b"\x01\xff\xff\x02\x00\x00")
+
+
+def _xz_looking(n: int) -> bytes:
+    return (_XZ_LOOKING * (n // len(_XZ_LOOKING) + 1))[:n]
+
+
+def _one_tensor_body(n: int, fill: bytes) -> bytes:
+    """A valid checkpoint body of exactly ``n`` >= 29 bytes: one rank-1 tensor of fill's bytes."""
+    name_len = 1 + (n - 29) % 8
+    count = (n - 28 - name_len) // 8
+    body = (b"LNCK" + struct.pack("<IIII", 1, 2, 1, name_len) + b"w" * name_len
+            + struct.pack("<II", 1, count) + fill[:8 * count])
+    assert len(body) == n
+    return body
+
+
+class TestLzmaCheck:
+    """The reader's liblzma check against the independent bit-at-a-time CRC."""
+
+    # both sides of each chunk seam, and the lengths where a body length or the
+    # block's unpadded size (body + 24 bytes) takes a second or third varint byte
+    LENGTHS = (0, 1, 7, 16, 104, 127, 128, 16360, 16384,
+               _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_accepts_the_crc_and_rejects_a_flipped_bit(self, n):
+        body = np.random.default_rng(n).integers(0, 256, size=n).astype(np.uint8).tobytes()
+        crc = crc64_bitwise(body)
+        assert ckpt_mod._crc_matches(body, crc)
+        for bit in (0, 31, 63):
+            assert not ckpt_mod._crc_matches(body, crc ^ 1 << bit)
+        if n:
+            flipped = bytearray(body)
+            flipped[n // 2] ^= 0x10
+            assert not ckpt_mod._crc_matches(bytes(flipped), crc)
+
+    @pytest.mark.parametrize("n", (6, len(_XZ_LOOKING), _CHUNK - 2, _CHUNK, _CHUNK + 3,
+                                   2 * _CHUNK + 1))
+    def test_xz_looking_body_verifies(self, n):
+        body = bytearray(_xz_looking(n))
+        for seam in range(_CHUNK, n, _CHUNK):  # the footer magic and a header at the seam
+            body[seam - 2:seam + 6] = b"YZ\xfd7zXZ\x00"[:n - seam + 2]
+        crc = crc64_bitwise(bytes(body))
+        assert ckpt_mod._crc_matches(bytes(body), crc)
+        assert not ckpt_mod._crc_matches(bytes(body), crc ^ 1)
+
+    @pytest.mark.parametrize("fill", ["random", "xz-looking"])
+    def test_file_with_the_bitwise_crc_loads_and_every_flip_is_caught(self, tmp_path, fill):
+        n = 2 * _CHUNK + 1  # three stored chunks, two seams
+        values = (np.random.default_rng(5).integers(0, 256, size=n).astype(np.uint8).tobytes()
+                  if fill == "random" else _xz_looking(n))
+        body = _one_tensor_body(n, values)
+        crc = crc64_bitwise(body)
+        path = tmp_path / "one.lnck"
+        path.write_bytes(body + struct.pack("<Q", crc))
+        (tensor,) = load_checkpoint(path).params.values()
+        assert tensor.tobytes() == body[-tensor.nbytes:]
+        for bit in range(64):
+            path.write_bytes(body + struct.pack("<Q", crc ^ 1 << bit))
+            with pytest.raises(CorruptCheckpoint, match="failed CRC verification"):
+                load_checkpoint(path)
+        for pos in (_CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK):
+            flipped = bytearray(body)
+            flipped[pos] ^= 0x01
+            path.write_bytes(bytes(flipped) + struct.pack("<Q", crc))
+            with pytest.raises(CorruptCheckpoint, match="failed CRC verification"):
+                load_checkpoint(path)
+
+    def test_numpy_crc_stands_in_without_liblzma_crc64(self, monkeypatch):
+        body = _xz_looking(_CHUNK + 1)
+        crc = crc64_bitwise(body)
+        monkeypatch.setattr(ckpt_mod, "_LZMA_CHECKS_CRC64", False)
+        assert ckpt_mod._crc_matches(body, crc)
+        assert not ckpt_mod._crc_matches(body, crc ^ 1 << 40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 2 * _CHUNK + 1), seed=st.integers(0, 2**32 - 1))
+def test_lzma_check_matches_bitwise_reference(n, seed):
+    body = np.random.default_rng(seed).integers(0, 256, size=n).astype(np.uint8).tobytes()
+    crc = crc64_bitwise(body)
+    assert ckpt_mod._crc_matches(body, crc)
+    assert not ckpt_mod._crc_matches(body, crc ^ 1 << seed % 64)
+
+
 class TestRoundTrip:
     def test_params_bitwise_identical(self, tmp_path):
         model = init_params(7)
@@ -219,6 +310,17 @@ class TestErrorPaths:
         path.write_bytes(path.read_bytes()[:23])
         with pytest.raises(CorruptCheckpoint, match="too short"):
             load_checkpoint(path)
+
+    def test_rank_bounds(self, tmp_path):
+        # ranks 1 to 8 load; a CRC-valid file with rank 0 or 9 is corrupt
+        path = tmp_path / "rank.lnck"
+        for rank in (1, 8):
+            save_checkpoint(path, Checkpoint(num_classes=2, params={"t": np.ones((1,) * rank)}))
+            assert load_checkpoint(path).params["t"].shape == (1,) * rank
+        for rank in (0, 9):
+            save_checkpoint(path, Checkpoint(num_classes=2, params={"t": np.ones((1,) * rank)}))
+            with pytest.raises(CorruptCheckpoint, match=f"absurd rank {rank}"):
+                load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptCheckpoint):

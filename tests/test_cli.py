@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from lenetkit import cli, errors
 from lenetkit.checkpoint import Checkpoint, model_to_checkpoint, save_checkpoint
-from lenetkit.data import load_dataset
+from lenetkit.data import gen_synthetic, load_dataset
 from lenetkit.errors import DivergenceDetected
-from lenetkit.nn import init_params, param_shapes
+from lenetkit.nn import init_params, model_forward, param_shapes
 
 
 @pytest.fixture()
@@ -445,6 +445,22 @@ class TestPredictCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
         assert len(captured.err.splitlines()) == 1 and "classes" in captured.err
+
+    def test_each_image_matches_its_row_of_a_64_image_forward(self, tmp_path, capsys):
+        # one image at a time may round the last bit unlike a 64-image batch
+        gen_synthetic(tmp_path / "test", 22, 1)
+        samples = load_dataset(tmp_path, "test").samples[:64]
+        model = init_params(1)
+        path = tmp_path / "m.lnck"
+        save_checkpoint(path, model_to_checkpoint(model))
+        batch, _ = model_forward(model, np.stack([s.pixels for s in samples]),
+                                 for_backward=False)
+        for sample, row in zip(samples, batch):
+            assert cli.main(["predict", "--checkpoint", str(path),
+                             "--image", sample.source_path]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert np.max(np.abs(np.array(payload["probs"]) - row)) <= 1e-15
+            assert payload["class_index"] == int(np.argmax(row))
 
     def test_one_pixel_high_image_is_data_error(self, synth_root, tmp_path, capsys):
         out = tmp_path / "run"
