@@ -28,9 +28,13 @@ instead, in C: about 0.15 ms for a 489 KB body, where ``crc64`` takes about
 6 ms. ``_crc_matches`` frames the body as an in-memory .xz stream
 (https://tukaani.org/xz/xz-file-format.txt) whose one block holds the body as
 stored, uncompressed LZMA2 chunks and the file's stored CRC as its CRC-64
-check, and liblzma rejects the stream unless the two agree. Loading verifies
-magic, CRC, then structure; a truncated or tampered file never yields a
-partial model.
+check, and liblzma rejects the stream unless the two agree.
+
+Loading walks the file's bytes at offsets and checks, in order: length,
+magic, CRC, version, class count, each record's UTF-8 name, rank, dims and
+values, trailing bytes, then the sidecar. Each tensor is copied once, out of
+those bytes; a truncated or tampered file never yields a partial model.
+``checkpoint_to_model`` then rejects non-finite values.
 
 Run metadata that is not part of the binary contract (class names, the
 training config echo, the final epoch record) travels in an optional JSON
@@ -61,6 +65,7 @@ from .nn import LeNetModel, Param
 
 MAGIC = b"LNCK"
 VERSION = 1
+_HEADER = struct.Struct("<4sIII")  # magic, version, num_classes, param_count
 
 _CRC64_POLY = 0xC96C5795D7870F42  # ECMA-182, reflected
 _CRC64_LANES = 4096  # a power of two, so the lanes fold pairwise to one
@@ -203,7 +208,11 @@ def model_to_checkpoint(model: LeNetModel, class_names=None, train_config=None,
 
 
 def checkpoint_to_model(ckpt: Checkpoint) -> LeNetModel:
-    """Rebuild a model; a name or shape the architecture does not declare is corrupt."""
+    """Rebuild a model; a non-finite value or an undeclared name or shape is corrupt."""
+    for name, value in ckpt.params.items():
+        if not np.isfinite(value).all():
+            raise CorruptCheckpoint(
+                f"checkpoint parameter {name!r} holds a non-finite value")
     params = {name: Param(name, value.copy(), np.zeros(value.shape))
               for name, value in ckpt.params.items()}
     try:
@@ -218,7 +227,7 @@ def _sidecar_path(path: Path) -> Path:
 
 def json_bytes(obj) -> bytes:
     """The artifact form of a JSON value: sorted keys, indent 2, closing newline."""
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def write_atomic(files: dict[Path, bytes | None]) -> None:
@@ -248,17 +257,11 @@ def write_atomic(files: dict[Path, bytes | None]) -> None:
 def checkpoint_files(path: str | Path, ckpt: Checkpoint) -> dict[Path, bytes | None]:
     """The binary's bytes and the sidecar's (``None``, to remove it, without metadata)."""
     path = Path(path)
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", ckpt.version)
-    buf += struct.pack("<I", ckpt.num_classes)
-    buf += struct.pack("<I", len(ckpt.params))
+    buf = bytearray(_HEADER.pack(MAGIC, ckpt.version, ckpt.num_classes, len(ckpt.params)))
     for name, value in ckpt.params.items():
         encoded = name.encode("utf-8")
-        buf += struct.pack("<I", len(encoded))
-        buf += encoded
-        buf += struct.pack("<I", value.ndim)
-        buf += struct.pack(f"<{value.ndim}I", *value.shape)
+        buf += struct.pack(f"<I{len(encoded)}sI{value.ndim}I", len(encoded), encoded,
+                           value.ndim, *value.shape)
         buf += np.ascontiguousarray(value, dtype="<f8").tobytes()
     buf += struct.pack("<Q", crc64(buf))
     meta = {key: value for key in ("class_names", "train_config", "final_record")
@@ -271,64 +274,53 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     write_atomic(checkpoint_files(path, ckpt))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptCheckpoint("checkpoint truncated mid-record")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     raw = read_input(path, CorruptCheckpoint)
-    if len(raw) < len(MAGIC) + 4 + 4 + 4 + 8:
+    if len(raw) < _HEADER.size + 8:
         raise CorruptCheckpoint(f"checkpoint {path} too short")
     if raw[:4] != MAGIC:
         raise CorruptCheckpoint(
             f"checkpoint {path} has bad magic {raw[:4]!r}, expected {MAGIC!r}"
         )
-    body, stored = raw[:-8], struct.unpack("<Q", raw[-8:])[0]
-    if not _crc_matches(body, stored):
+    body = memoryview(raw)[:len(raw) - 8]
+    if not _crc_matches(body, struct.unpack_from("<Q", raw, len(body))[0]):
         raise CorruptCheckpoint(f"checkpoint {path} failed CRC verification")
 
-    r = _Reader(body)
-    r.take(4)  # magic, already checked
-    version = r.u32()
+    _, version, num_classes, param_count = _HEADER.unpack_from(body)
     if version != VERSION:
         raise UnsupportedVersion(
             f"checkpoint version {version} not supported (expected {VERSION})"
         )
-    num_classes = r.u32()
     if num_classes < 2:
         raise CorruptCheckpoint(f"checkpoint {path} declares {num_classes} classes,"
                                 " need >= 2")
-    param_count = r.u32()
     params: dict[str, np.ndarray] = {}
-    for _ in range(param_count):
-        try:
-            name = r.take(r.u32()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptCheckpoint(f"parameter name is not UTF-8: {exc}") from exc
-        rank = r.u32()
-        if rank < 1 or rank > 8:
-            raise CorruptCheckpoint(f"parameter {name!r} has absurd rank {rank}")
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        count = math.prod(dims)  # a Python int: u32 dims cannot overflow it
-        values = np.frombuffer(r.take(8 * count), dtype="<f8")
-        try:
-            params[name] = values.reshape(dims).astype(np.float64)
-        except ValueError as exc:  # a zero dim beside dims too large to address
-            raise CorruptCheckpoint(f"parameter {name!r} has dims {dims}: {exc}") from exc
-    if r.pos != len(body):
+    pos = _HEADER.size
+    try:  # struct.error: a field or a tensor's values run past the end of the body
+        for _ in range(param_count):
+            (name_len,) = struct.unpack_from("<I", body, pos)
+            name, rank = struct.unpack_from(f"<{name_len}sI", body, pos + 4)
+            try:
+                name = name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptCheckpoint(f"parameter name is not UTF-8: {exc}") from exc
+            if rank < 1 or rank > 8:
+                raise CorruptCheckpoint(f"parameter {name!r} has absurd rank {rank}")
+            dims = struct.unpack_from(f"<{rank}I", body, pos + 8 + name_len)
+            pos += 8 + name_len + 4 * rank
+            count = math.prod(dims)  # a Python int: u32 dims cannot overflow it
+            if pos + 8 * count > len(body):
+                raise struct.error
+            values = np.frombuffer(body, "<f8", count, pos)
+            pos += 8 * count
+            try:
+                params[name] = values.reshape(dims).astype(np.float64)
+            except ValueError as exc:  # a zero dim beside dims too large to address
+                raise CorruptCheckpoint(f"parameter {name!r} has dims {dims}: {exc}") from exc
+    except struct.error as exc:
+        raise CorruptCheckpoint("checkpoint truncated mid-record") from exc
+    if pos != len(body):
         raise CorruptCheckpoint("trailing bytes after parameter table")
 
     ckpt = Checkpoint(num_classes=num_classes, params=params, version=version)

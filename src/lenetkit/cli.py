@@ -255,9 +255,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         focal = loss_mod.FocalConfig(gamma=focal.gamma if args.gamma is None else args.gamma,
                                      alpha=None if args.loss else focal.alpha)
 
-    mean_loss, _, cm = train_mod.evaluate(model, dataset, loss_kind, focal)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is caught below
+        mean_loss, _, cm = train_mod.evaluate(model, dataset, loss_kind, focal)
+    if not math.isfinite(mean_loss):
+        raise CorruptCheckpoint(f"checkpoint {args.checkpoint} gives a non-finite loss"
+                                f" on {args.split!r}")
     payload = metrics_mod.metrics_json(args.split, mean_loss, cm, names, positives)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -265,15 +269,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ckpt = ckpt_mod.load_checkpoint(args.checkpoint)
     model = ckpt_mod.checkpoint_to_model(ckpt)
     pixels = data_mod.load_image(args.image)
-    probs, _ = model_forward(model, pixels[None, :, :, :], for_backward=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is caught below
+        probs, _ = model_forward(model, pixels[None, :, :, :], for_backward=False)
     probs = probs[0]
+    if not np.isfinite(probs).all():
+        raise CorruptCheckpoint(f"checkpoint {args.checkpoint} gives non-finite"
+                                f" probabilities for {args.image}")
     index = int(np.argmax(probs))
     names = ckpt.class_names or [f"class_{i}" for i in range(ckpt.num_classes)]
     print(json.dumps({
         "class_name": names[index],
         "class_index": index,
         "probs": probs.tolist(),
-    }, indent=2))
+    }, indent=2, allow_nan=False))
     return EXIT_OK
 
 

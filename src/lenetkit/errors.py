@@ -94,10 +94,16 @@ def read_input(path: str | Path, error: type[EngineError]) -> bytes:
         raise error(f"cannot read {path}: {exc}") from exc
 
 
+def _reject_constant(name: str):
+    """Python's parser accepts ``NaN`` and ``Infinity``; RFC 8259 JSON does not."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(path: str | Path, error: type[EngineError]) -> dict:
     """The JSON object in the UTF-8 file ``path``; any other content raises ``error``."""
-    try:  # ValueError covers bad UTF-8, bad JSON and an int too long to parse
-        value = json.loads(read_input(path, error).decode("utf-8"))
+    try:  # ValueError covers bad UTF-8, bad JSON, NaN and an int too long to parse
+        value = json.loads(read_input(path, error).decode("utf-8"),
+                           parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
         raise error(f"{path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(value, dict):

@@ -381,3 +381,35 @@ def test_resealed_single_byte_mutation_never_escapes(tmp_path):
                 load_checkpoint(path)
             except (CorruptCheckpoint, UnsupportedVersion):
                 pass
+
+
+def test_resealed_truncation_is_corrupt(tmp_path):
+    # the body cut to every shorter length and resealed, so the CRC passes and the
+    # reader walks off the end of each cut
+    path = tmp_path / "tiny.lnck"
+    save_checkpoint(path, Checkpoint(num_classes=2, params={
+        "w": np.ones((2, 3)), "b": np.ones(1)}))
+    body = path.read_bytes()[:-8]
+    for n in range(len(body)):
+        path.write_bytes(body[:n] + struct.pack("<Q", crc64(body[:n])))
+        with pytest.raises(CorruptCheckpoint, match="too short|truncated mid-record"):
+            load_checkpoint(path)
+
+
+def test_loaded_arrays_own_writable_float64(tmp_path):
+    path = tmp_path / "m.lnck"
+    save_checkpoint(path, model_to_checkpoint(init_params(2)))
+    for value in load_checkpoint(path).params.values():
+        assert value.dtype == np.float64 and value.base is None
+        assert value.flags.writeable and value.flags.c_contiguous
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_rejected_at_model_build(tmp_path, value):
+    path = tmp_path / "m.lnck"
+    ckpt = model_to_checkpoint(init_params(2))
+    ckpt.params["fc2.bias"][3] = value
+    save_checkpoint(path, ckpt)
+    loaded = load_checkpoint(path)  # the binary is well formed
+    with pytest.raises(CorruptCheckpoint, match="'fc2.bias' holds a non-finite value"):
+        checkpoint_to_model(loaded)

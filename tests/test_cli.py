@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -825,3 +826,86 @@ def test_train_exits_0_to_3_with_one_error_line(tiny_root, cfg, epochs, batch_si
         if code:
             assert err.getvalue().startswith("error: ")
             assert len(err.getvalue().splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("name, value, index", [
+    ("fc_out.bias", float("nan"), 0),
+    ("fc1.weight", float("inf"), 0),
+    ("fc_out.weight", 1e308, slice(None)),  # finite, but the logits overflow
+], ids=["nan-bias", "inf-weight", "huge-weights"])
+def test_non_finite_checkpoint_or_output_exits_2(synth_root, tmp_path, capsys, command,
+                                                 name, value, index):
+    ckpt = model_to_checkpoint(init_params(1))
+    ckpt.params[name].flat[index] = value
+    path = tmp_path / "m.lnck"
+    save_checkpoint(path, ckpt)
+    image = next((synth_root / "train" / "0_horizontal").glob("*.pgm"))
+    target = (["--data", str(synth_root)] if command == "evaluate"
+              else ["--image", str(image)])
+    capsys.readouterr()
+    assert cli.main([command, "--checkpoint", str(path), *target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert len(captured.err.splitlines()) == 1 and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command, code", [("train", 1), ("predict", 2)])
+def test_json_non_finite_constants_are_rejected(synth_root, tmp_path, capsys, constant,
+                                                command, code):
+    """A config file or sidecar holding a constant that Python's parser accepts."""
+    if command == "train":
+        bad = tmp_path / "cfg.json"
+        bad.write_text(f'{{"fill_value": {constant}}}')
+        argv = ["--config", str(bad), "--data", str(synth_root),
+                "--out", str(tmp_path / "out")]
+    else:  # nothing else in the sidecar checks final_record's values
+        ckpt = tmp_path / "model.lnck"
+        save_checkpoint(ckpt, model_to_checkpoint(init_params(0, 3)))
+        bad = tmp_path / "model.lnck.json"
+        bad.write_text(f'{{"final_record": {{"val_loss": {constant}}}}}')
+        image = next((synth_root / "train" / "0_horizontal").glob("*.pgm"))
+        argv = ["--checkpoint", str(ckpt), "--image", str(image)]
+    assert cli.main([command, *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert len(captured.err.splitlines()) == 1
+    assert str(bad) in captured.err and constant.lstrip("-") in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+# float64 edge values: non-finite, near overflow, subnormal and the smallest normal
+_EDGE_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308,
+                                5e-324, -5e-324, 2.2250738585072014e-308])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_predict_exits_2_or_prints_strict_json(tiny_root, data):
+    ckpt = model_to_checkpoint(init_params(1))
+    tensor = ckpt.params[data.draw(st.sampled_from(sorted(ckpt.params)))]
+    values = data.draw(st.lists(_EDGE_FLOATS | st.floats(), min_size=1, max_size=4))
+    if data.draw(st.booleans()):  # the whole tensor, cycling through the values
+        tensor[...] = np.resize(values, tensor.shape)
+    else:
+        for value in values:
+            tensor.flat[data.draw(st.integers(0, tensor.size - 1))] = value
+    image = next((tiny_root / "train" / "0_horizontal").glob("*.pgm"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.lnck"
+        save_checkpoint(path, ckpt)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["predict", "--checkpoint", str(path), "--image", str(image)])
+    if code:
+        assert code == 2 and not out.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        probs = json.loads(out.getvalue(), parse_constant=_reject_constant)["probs"]
+        assert abs(math.fsum(probs) - 1.0) <= 1e-12
