@@ -34,7 +34,7 @@ Loading walks the file's bytes at offsets and checks, in order: length,
 magic, CRC, version, class count, each record's UTF-8 name, rank, dims and
 values, trailing bytes, then the sidecar. Each tensor is copied once, out of
 those bytes; a truncated or tampered file never yields a partial model.
-``checkpoint_to_model`` then rejects non-finite values.
+``checkpoint_to_model`` rejects non-finite values and keeps those arrays.
 
 Run metadata that is not part of the binary contract (class names, the
 training config echo, the final epoch record) travels in an optional JSON
@@ -208,12 +208,15 @@ def model_to_checkpoint(model: LeNetModel, class_names=None, train_config=None,
 
 
 def checkpoint_to_model(ckpt: Checkpoint) -> LeNetModel:
-    """Rebuild a model; a non-finite value or an undeclared name or shape is corrupt."""
+    """Rebuild a model that owns ``ckpt.params``' arrays from then on, not copies of them.
+
+    A non-finite value or an undeclared name or shape is corrupt.
+    """
     for name, value in ckpt.params.items():
         if not np.isfinite(value).all():
             raise CorruptCheckpoint(
                 f"checkpoint parameter {name!r} holds a non-finite value")
-    params = {name: Param(name, value.copy(), np.zeros(value.shape))
+    params = {name: Param(name, value, np.zeros(value.shape))
               for name, value in ckpt.params.items()}
     try:
         return LeNetModel(params, ckpt.num_classes)

@@ -16,6 +16,8 @@ JSON output (evaluate, predict).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -364,10 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's one parser, built on its first call
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+        try:
+            code = args.fn(args)
+            sys.stdout.flush()  # a closed pipe fails here, not at interpreter shutdown
+        except BrokenPipeError as exc:
+            with contextlib.suppress(BrokenPipeError):
+                sys.stdout.close()  # so that shutdown does not flush it again
+            raise IoError(f"cannot write to standard output: {exc}") from exc
+        return code
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

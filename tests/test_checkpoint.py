@@ -413,3 +413,15 @@ def test_non_finite_parameter_rejected_at_model_build(tmp_path, value):
     loaded = load_checkpoint(path)  # the binary is well formed
     with pytest.raises(CorruptCheckpoint, match="'fc2.bias' holds a non-finite value"):
         checkpoint_to_model(loaded)
+
+
+def test_rebuilt_model_keeps_the_loaded_arrays(tmp_path):
+    path = tmp_path / "m.lnck"
+    save_checkpoint(path, model_to_checkpoint(init_params(2), class_names=["x", "y", "z"]))
+    loaded = load_checkpoint(path)
+    model = checkpoint_to_model(loaded)
+    assert all(model[name].value is value for name, value in loaded.params.items())
+    again = tmp_path / "again.lnck"
+    save_checkpoint(again, model_to_checkpoint(model, class_names=loaded.class_names))
+    assert again.read_bytes() == path.read_bytes()
+    assert (tmp_path / "again.lnck.json").read_bytes() == (tmp_path / "m.lnck.json").read_bytes()

@@ -909,3 +909,103 @@ def test_predict_exits_2_or_prints_strict_json(tiny_root, data):
     else:
         probs = json.loads(out.getvalue(), parse_constant=_reject_constant)["probs"]
         assert abs(math.fsum(probs) - 1.0) <= 1e-12
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; each call gets what a fresh one gives."""
+
+    @staticmethod
+    def run_each(argvs, capsys, fresh):
+        outcomes = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            outcomes.append((cli.main(argv), *capsys.readouterr()))
+        return outcomes
+
+    @staticmethod
+    def predict_argv(synth_root, tmp_path):
+        path = tmp_path / "m.lnck"
+        save_checkpoint(path, model_to_checkpoint(init_params(0, 3)))
+        image = next((synth_root / "train" / "0_horizontal").glob("*.pgm"))
+        return ["predict", "--checkpoint", str(path), "--image", str(image)]
+
+    def test_evaluate_flags_do_not_carry_over(self, synth_root, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_train(synth_root, out, ["--loss", "focal"])
+        capsys.readouterr()
+        final = json.loads((out / "checkpoint.lnck.json").read_text())["final_record"]
+        plain = ["evaluate", "--checkpoint", str(out / "checkpoint.lnck"),
+                 "--data", str(synth_root)]
+        argvs = [plain + ["--split", "train"], plain,
+                 plain + ["--loss", "focal", "--gamma", "0"], plain]
+        shared = self.run_each(argvs, capsys, fresh=False)
+        assert shared == self.run_each(argvs, capsys, fresh=True)
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0]
+        payloads = [json.loads(out) for _, out, _ in shared]
+        assert [p["split"] for p in payloads] == ["train"] + ["validation"] * 3
+        # a plain evaluate falls back to the sidecar's focal loss with gamma 2
+        assert payloads[1]["loss"] == payloads[3]["loss"] == final["val_loss"]
+        assert payloads[2]["loss"] != final["val_loss"]
+
+    @pytest.mark.parametrize("bad", [["predict", "--image", "x.pgm"], ["frobnicate"],
+                                     ["predict", "--checkpoint"]],
+                             ids=["missing-flag", "unknown-command", "missing-value"])
+    def test_usage_error_then_good_predict(self, synth_root, tmp_path, capsys, bad):
+        good = self.predict_argv(synth_root, tmp_path)
+        argvs = [good, bad, good]
+        shared = self.run_each(argvs, capsys, fresh=False)
+        assert shared == self.run_each(argvs, capsys, fresh=True)
+        assert shared[1][0] == 1 and shared[1][2].startswith("error: ")
+        assert shared[0] == shared[2] and shared[2][0] == 0
+
+    @pytest.mark.parametrize("help_argv", [["--help"], ["predict", "--help"]])
+    def test_help_then_good_predict(self, synth_root, tmp_path, capsys, help_argv):
+        good = self.predict_argv(synth_root, tmp_path)
+        cli._parser.cache_clear()
+        first = (cli.main(good), *capsys.readouterr())
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(help_argv)
+        assert exit_info.value.code == 0 and "usage:" in capsys.readouterr().out
+        assert (cli.main(good), *capsys.readouterr()) == first
+        assert first[0] == 0 and cli._parser.cache_info().misses == 1
+
+    def test_build_parser_stays_fresh(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        script = ("import lenetkit.cli as cli;"
+                  " print(cli._parser.cache_info().currsize);"
+                  " cli.main(['predict']); cli.main(['train', '--x']);"
+                  " print(cli._parser.cache_info().misses)")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_closed_stdout_exits_2_with_one_line(synth_root, tmp_path, command, unbuffered):
+    ckpt = tmp_path / "m.lnck"
+    save_checkpoint(ckpt, model_to_checkpoint(init_params(0, 3)))
+    image = next((synth_root / "train" / "0_horizontal").glob("*.pgm"))
+    target = (["--data", str(synth_root)] if command == "evaluate"
+              else ["--image", str(image)])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # the write fails in print; buffered, it fails when main flushes
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the process writes a byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lenetkit.cli", command, "--checkpoint", str(ckpt),
+             *target], env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "standard output" in proc.stderr
