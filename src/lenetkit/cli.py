@@ -20,22 +20,27 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import types
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, set before numpy loads, so seeded bytes match on any core count
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from . import checkpoint as ckpt_mod
-from . import curves as curves_mod
-from . import data as data_mod
-from . import loss as loss_mod
-from . import metrics as metrics_mod
-from . import train as train_mod
-from .errors import (CorruptCheckpoint, DatasetNotFound, DivergenceDetected, EngineError,
-                     InvalidConfig, IoError, read_json)
-from .nn import init_params, model_forward
+import numpy as np  # noqa: E402
+
+from . import checkpoint as ckpt_mod  # noqa: E402
+from . import curves as curves_mod  # noqa: E402
+from . import data as data_mod  # noqa: E402
+from . import loss as loss_mod  # noqa: E402
+from . import metrics as metrics_mod  # noqa: E402
+from . import train as train_mod  # noqa: E402
+from .errors import (CorruptCheckpoint, DatasetNotFound, DivergenceDetected,  # noqa: E402
+                     EngineError, InvalidConfig, IoError, read_json)
+from .nn import init_params, model_forward  # noqa: E402
 
 EXIT_OK = 0
 

@@ -11,6 +11,8 @@ This module only formats and parses. The CLI replaces each file whole through
 
 from __future__ import annotations
 
+import math
+import sys
 from pathlib import Path
 
 from .errors import CurvesFormatError, read_input
@@ -44,14 +46,13 @@ def read_curves_csv(path: str | Path) -> list[EpochRecord]:
         parts = line.split(",")
         if len(parts) != 5:
             raise CurvesFormatError(f"line {lineno}: expected 5 fields")
-        try:
-            records.append(EpochRecord(
-                epoch=int(parts[0]),
-                train_loss=float(parts[1]), train_acc=float(parts[2]),
-                val_loss=float(parts[3]), val_acc=float(parts[4]),
-            ))
-        except ValueError as exc:
+        try:  # OverflowError: an epoch past the float range, which no axis can place
+            epoch, values = int(parts[0]), [float(p) for p in parts[1:]]
+            if not (math.isfinite(epoch) and all(map(math.isfinite, values))):
+                raise ValueError("non-finite value")
+        except (ValueError, OverflowError) as exc:
             raise CurvesFormatError(f"line {lineno}: {exc}") from exc
+        records.append(EpochRecord(epoch, *values))
     if not records:
         raise CurvesFormatError("curves file has no data rows")
     return records
@@ -64,24 +65,31 @@ def read_curves_csv(path: str | Path) -> list[EpochRecord]:
 _PANEL_W, _PANEL_H = 420, 300
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 40, 50
 _GAP = 40
+_FLOAT_MAX = sys.float_info.max
 
 
 def _auto_range(values):
     lo, hi = min(values), max(values)
     if hi <= lo:  # a flat curve; past 2**39 a half unit would vanish in rounding
         half = max(0.5, abs(lo) / 2**40)
-        lo, hi = lo - half, hi + half
-    pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+        lo, hi = max(lo - half, -_FLOAT_MAX), min(hi + half, _FLOAT_MAX)
+    pad = 0.1 * (hi / 2 - lo / 2)  # 0.05 * (hi - lo), in halves so that it stays finite
+    return max(lo - pad, -_FLOAT_MAX), min(hi + pad, _FLOAT_MAX)
+
+
+def _share(v, value_range):
+    """(v - lo) / (hi - lo), in halves when the span passes the float range."""
+    lo, hi = value_range
+    if hi - lo == math.inf:  # halving first would turn adjacent subnormals equal
+        v, lo, hi = v / 2, lo / 2, hi / 2
+    return (v - lo) / (hi - lo)
 
 
 def _polyline(xs, ys, x_range, y_range, ox, oy, color, dashed):
-    x0, x1 = x_range
-    y0, y1 = y_range
     pts = []
     for x, y in zip(xs, ys):
-        px = ox + (x - x0) / (x1 - x0) * _PANEL_W
-        py = oy + _PANEL_H - (y - y0) / (y1 - y0) * _PANEL_H
+        px = ox + _share(x, x_range) * _PANEL_W
+        py = oy + _PANEL_H - _share(y, y_range) * _PANEL_H
         pts.append(f"{px:.2f},{py:.2f}")
     dash = ' stroke-dasharray="6,4"' if dashed else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} '

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,10 +37,9 @@ from .errors import (
     IoError,
     read_input,
 )
+from .nn import IMAGE_SIZE
 
 log = logging.getLogger(__name__)
-
-TARGET_SIZE = 32
 
 # synthetic class directories; the numeric prefix pins the sorted label order
 SYNTH_CLASS_DIRS = ("0_horizontal", "1_vertical", "2_checker")
@@ -111,6 +111,14 @@ class AugmentConfig:
 # PGM codec (binary P5, maxval <= 255)
 # ---------------------------------------------------------------------------
 
+# Magic, width, height and maxval, each optional so that a short header yields
+# what it has. A comment ends only at "\n" or the end of the data, so separators
+# split one way and a group that fails backtracks in linear time.
+_PGM_SEPARATOR = rb"(?:\s|#[^\n]*(?:\n|\Z))"
+_PGM_TOKEN = rb"([^\s#]+)"
+_PGM_HEADER = re.compile(rb"(?:%s*%s)?" % (_PGM_SEPARATOR, _PGM_TOKEN) * 4)
+
+
 def decode_pgm(data: bytes) -> tuple[np.ndarray, int]:
     """Decode binary PGM bytes into an H x W uint8 array and its maxval.
 
@@ -119,31 +127,12 @@ def decode_pgm(data: bytes) -> tuple[np.ndarray, int]:
     whitespace byte separates header and pixel payload; no sample may exceed
     maxval.
     """
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos:pos + 1]
-            if c == b"#":
-                eol = data.find(b"\n", pos)
-                pos = len(data) if eol < 0 else eol + 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace() \
-                and data[pos:pos + 1] != b"#":
-            pos += 1
-        if start == pos:
-            raise ImageDecodeError("truncated PGM header")
-        return data[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
+    header = _PGM_HEADER.match(data)
+    magic, *numbers = header.groups()
+    if magic not in (None, b"P5"):
         raise ImageDecodeError(f"not a binary PGM (magic {magic!r}, expected b'P5')")
-    numbers = [next_token() for _ in range(3)]
+    if None in header.groups():
+        raise ImageDecodeError("truncated PGM header")
     if not b"".join(numbers).isdigit():  # int() also takes "+4" and "1_0"
         raise ImageDecodeError(f"non-decimal PGM header numbers {b' '.join(numbers)!r}")
     try:
@@ -154,16 +143,14 @@ def decode_pgm(data: bytes) -> tuple[np.ndarray, int]:
         raise ImageDecodeError(f"bad PGM dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise ImageDecodeError(f"PGM maxval {maxval} out of supported range (1..255)")
-    if pos >= len(data) or not data[pos:pos + 1].isspace():
+    offset = header.end() + 1  # past the one whitespace byte after maxval
+    if not data[offset - 1:offset].isspace():
         raise ImageDecodeError("missing whitespace between PGM header and payload")
-    pos += 1
-    payload = data[pos:pos + width * height]
-    if len(payload) < width * height:
-        raise ImageDecodeError(
-            f"PGM payload truncated: expected {width * height} bytes,"
-            f" got {len(payload)}"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    if len(data) - offset < width * height:
+        raise ImageDecodeError(f"PGM payload truncated: expected {width * height} bytes,"
+                               f" got {len(data) - offset}")
+    pixels = np.frombuffer(data, np.uint8, width * height, offset)
+    pixels = pixels.reshape(height, width).copy()
     if maxval < 255 and pixels.max() > maxval:
         raise ImageDecodeError(f"PGM sample {pixels.max()} exceeds maxval {maxval}")
     return pixels, maxval
@@ -200,8 +187,8 @@ def _check_resizable(shape: tuple[int, ...]) -> None:
         raise InvalidShape(f"resize needs an H x W image with H, W >= 2, got {shape}")
 
 
-def resize_bilinear(img: np.ndarray, out_h: int = TARGET_SIZE,
-                    out_w: int = TARGET_SIZE) -> np.ndarray:
+def resize_bilinear(img: np.ndarray, out_h: int = IMAGE_SIZE,
+                    out_w: int = IMAGE_SIZE) -> np.ndarray:
     """Bilinear resize of the last two axes of ``img`` [..., H, W].
 
     Half-pixel-center convention: the source coordinate for output row i is
@@ -291,7 +278,7 @@ def _load_images(paths: list[str | Path]) -> np.ndarray:
     A run of same-shape images within LOAD_RUN_PIXELS is normalized and
     resized in one call; only one run of decoded images is held at a time.
     """
-    out = np.empty((len(paths), 1, TARGET_SIZE, TARGET_SIZE))
+    out = np.empty((len(paths), 1, IMAGE_SIZE, IMAGE_SIZE))
     run, maxvals = [], []
 
     def flush() -> None:
@@ -311,7 +298,7 @@ def _load_images(paths: list[str | Path]) -> np.ndarray:
             flush()
         run.append(img)
         maxvals.append(maxval)
-        if (len(run) + 1) * (img.size + TARGET_SIZE ** 2) > LOAD_RUN_PIXELS:
+        if (len(run) + 1) * (img.size + IMAGE_SIZE ** 2) > LOAD_RUN_PIXELS:
             flush()  # full: resize before reading on, so one run is held at most
     if run:
         flush()

@@ -56,10 +56,9 @@ class DivergenceDetected(EngineError):
     """
     exit_code = 3
 
-    def __init__(self, message, records=None, epoch=None):
+    def __init__(self, message, records=None):
         super().__init__(message)
         self.records = records if records is not None else []
-        self.epoch = epoch
 
 
 class DatasetNotFound(DataError):

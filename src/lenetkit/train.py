@@ -204,7 +204,7 @@ def train(model: LeNetModel, train_set: data_mod.Dataset,
         _restore(model, last_good)
         raise DivergenceDetected(
             f"non-finite loss at epoch {epoch}; restored last good state",
-            records=records, epoch=epoch,
+            records=records,
         )
 
     return records, model

@@ -474,6 +474,9 @@ class TestPredictCommand:
         assert str(flat) in capsys.readouterr().err
 
 
+_NUMBER_TEXT = re.compile(r"-?[0-9.]+(e[+-][0-9]+)?")  # a decimal, never nan or inf
+
+
 class TestExportCurves:
     def test_svg_well_formed_with_matching_points(self, synth_root, tmp_path):
         out = tmp_path / "run"
@@ -571,6 +574,72 @@ class TestExportCurves:
         assert err.startswith("error: ") and str(svg_path) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("row", ["2,nan,0.6,0.7,0.4", "2,0.5,inf,0.7,0.4",
+                                     "2,0.5,0.6,-Infinity,0.4", "2,0.5,0.6,0.7,NaN",
+                                     "1" + "0" * 400 + ",0.5,0.6,0.7,0.4"],
+                             ids=["nan", "inf", "-infinity", "NaN", "epoch-past-floats"])
+    def test_non_finite_value_exits_2_naming_its_line(self, tmp_path, capsys, row):
+        csv_path, svg_path = tmp_path / "bad.csv", tmp_path / "bad.svg"
+        csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                            "1,0.5,0.6,0.7,0.4\n" + row + "\n")
+        assert cli.main(["export-curves", "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and len(err.splitlines()) == 1
+        assert not svg_path.exists()
+
+    @pytest.mark.parametrize("rows", [
+        ["1,1e308,0.5,-1e308,0.5", "2,1,0.5,1,0.5"],
+        ["1,1.7976931348623157e308,-1.7976931348623157e308,0,1",
+         "2,-1.7976931348623157e308,1.7976931348623157e308,0,1"],
+        ["1,1.7976931348623157e308,0.5,1.7976931348623157e308,0.5",
+         "2,1.7976931348623157e308,0.5,1.7976931348623157e308,0.5"],
+        ["1,-1.7976931348623157e308,0.5,-1.7976931348623157e308,0.5"],
+        ["1,1.5e-323,0.5,2e-323,0.5"],
+    ], ids=["opposite-1e308", "opposite-float-max", "flat-float-max", "flat-lowest",
+            "adjacent-subnormals"])
+    def test_values_at_the_float_limits_plot_inside_the_panels(self, tmp_path, rows):
+        csv_path, svg_path = tmp_path / "wide.csv", tmp_path / "wide.svg"
+        csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                            + "\n".join(rows) + "\n")
+        assert cli.main(["export-curves", "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 0
+        svg, ns = ET.parse(svg_path).getroot(), "{http://www.w3.org/2000/svg}"
+        lines = list(svg.iter(ns + "polyline"))
+        for line, ox in zip(lines, (60, 60, 580, 580)):  # panels are 420x300 at y 40
+            for point in line.get("points").split():
+                x, y = map(float, point.split(","))
+                assert ox <= x <= ox + 420 and 40 <= y <= 340, point
+        labels = [t.text for t in svg.iter(ns + "text") if t.get("font-size") == "10"]
+        assert all(map(_NUMBER_TEXT.fullmatch, labels)), labels
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-10**310, 10**310),
+                               *[st.floats(allow_subnormal=True)] * 4),
+                     min_size=1, max_size=4))
+def test_export_curves_exits_2_or_draws_only_finite_numbers(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, svg_path = Path(tmp) / "any.csv", Path(tmp) / "any.svg"
+        csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["export-curves", "--csv", str(csv_path), "--svg", str(svg_path)])
+        if code:
+            assert code == 2 and not svg_path.exists()
+            assert err.getvalue().startswith("error: line ")
+            assert len(err.getvalue().splitlines()) == 1
+            return
+        svg, ns = ET.parse(svg_path).getroot(), "{http://www.w3.org/2000/svg}"
+        for line in svg.iter(ns + "polyline"):
+            for point in line.get("points").split():
+                assert all(map(math.isfinite, map(float, point.split(",")))), point
+        for text in svg.iter(ns + "text"):
+            is_tick_label = text.get("font-size") == "10"
+            numbers = [text.get("x"), text.get("y")] + [text.text] * is_tick_label
+            assert all(map(_NUMBER_TEXT.fullmatch, numbers)), numbers
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -594,6 +663,27 @@ class TestUsageErrors:
                              "--out", str(tmp_path / "o"), *extra])
             assert code == 1, extra
             assert "threads" in capsys.readouterr().err
+
+
+def test_seeded_train_bytes_do_not_depend_on_the_blas_environment(tmp_path):
+    """The CLI runs BLAS on one thread whether the variables are unset, 1 or 2."""
+    data = tmp_path / "data"
+    assert cli.main(["gen-synthetic", "--out", str(data), "--n-per-class", "40",
+                     "--seed", "5"]) == 0
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    checkpoints = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        if threads:
+            env.update(dict.fromkeys(names, threads))
+        out = tmp_path / f"run-{threads}"
+        subprocess.run([sys.executable, "-m", "lenetkit.cli", "train", "--data", str(data),
+                        "--out", str(out), "--epochs", "10", "--batch-size", "64",
+                        "--seed", "5"], env=env, capture_output=True, check=True,
+                       timeout=120)
+        checkpoints.append((out / "checkpoint.lnck").read_bytes())
+    assert len(set(checkpoints)) == 1
 
 
 # Config values of a wrong JSON type, per key, written independently of

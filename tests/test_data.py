@@ -119,6 +119,112 @@ def test_decode_arbitrary_bytes_raises_only_decode_error(data):
     assert pixels.size and int(pixels.max()) <= maxval
 
 
+def reference_decode_pgm(data: bytes) -> tuple[np.ndarray, int]:
+    """The tokenizer decoder that the header pattern replaced, kept as the oracle."""
+    pos = 0
+
+    def next_token() -> bytes:
+        nonlocal pos
+        while pos < len(data):
+            c = data[pos:pos + 1]
+            if c == b"#":
+                eol = data.find(b"\n", pos)
+                pos = len(data) if eol < 0 else eol + 1
+            elif c.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace() \
+                and data[pos:pos + 1] != b"#":
+            pos += 1
+        if start == pos:
+            raise ImageDecodeError("truncated PGM header")
+        return data[start:pos]
+
+    magic = next_token()
+    if magic != b"P5":
+        raise ImageDecodeError(f"not a binary PGM (magic {magic!r}, expected b'P5')")
+    numbers = [next_token() for _ in range(3)]
+    if not b"".join(numbers).isdigit():  # int() also takes "+4" and "1_0"
+        raise ImageDecodeError(f"non-decimal PGM header numbers {b' '.join(numbers)!r}")
+    try:
+        width, height, maxval = map(int, numbers)
+    except ValueError as exc:  # more digits than int() parses
+        raise ImageDecodeError(f"malformed PGM header: {exc}") from exc
+    if width < 1 or height < 1:
+        raise ImageDecodeError(f"bad PGM dimensions {width}x{height}")
+    if not 0 < maxval <= 255:
+        raise ImageDecodeError(f"PGM maxval {maxval} out of supported range (1..255)")
+    if pos >= len(data) or not data[pos:pos + 1].isspace():
+        raise ImageDecodeError("missing whitespace between PGM header and payload")
+    pos += 1
+    payload = data[pos:pos + width * height]
+    if len(payload) < width * height:
+        raise ImageDecodeError(
+            f"PGM payload truncated: expected {width * height} bytes,"
+            f" got {len(payload)}"
+        )
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    if maxval < 255 and pixels.max() > maxval:
+        raise ImageDecodeError(f"PGM sample {pixels.max()} exceeds maxval {maxval}")
+    return pixels, maxval
+
+
+# every whitespace byte, "#" comments with and without their newline, and nothing
+_SEPARATORS = [b" ", b"\t", b"\n", b"\x0b", b"\x0c", b"\r", b"#\n", b"# c 1\n",
+               b" #P5 9\r\n", b"\n#", b"#\r\x0b#\n\t", b""]
+# ASCII decimals, signs, underscores, non-ASCII digits (Arabic-Indic one, superscript
+# two in UTF-8 and Latin-1, fullwidth one) and more digits than int() parses
+_NUMBERS = [b"0", b"7", b"255", b"256", b"+4", b"-1", b"1_0", b"\xd9\xa1",
+            b"\xc2\xb2", b"\xb2", b"\xef\xbc\x91", b"1" * 4301]
+
+
+def _fields(tokens):
+    """One draw each: a separator (not empty) and then a token."""
+    return st.sampled_from([sep + token for sep in _SEPARATORS[:-1] for token in tokens])
+
+
+# payloads short and long enough, with samples above 1 and 7 and whitespace first
+_TAILS = st.sampled_from([b"", b"\x01", b"\x00\x01\x07\x00", bytes(9), b"\xff" * 9,
+                          bytes(range(7, 31)), b"\n" + bytes(range(23)), b"\x01" * 24])
+# A header in the PGM shape, or a free mix of its pieces, then a payload tail.
+# Valid pieces repeat in the lists, so that about one input in twenty decodes.
+PGM_LIKE = st.tuples(
+    st.sampled_from([sep + magic for magic in (b"P5", b"P6", b"P5", b"P5")
+                     for sep in _SEPARATORS]),
+    _fields(_NUMBERS + [b"1", b"2", b"3", b"01"] * 8),
+    _fields(_NUMBERS + [b"1", b"2", b"3", b"01"] * 8),
+    _fields(_NUMBERS + [b"7", b"1", b"255"] * 10),
+    st.sampled_from(_SEPARATORS + _SEPARATORS[:6] * 2),
+    _TAILS,
+).map(b"".join) | st.tuples(
+    st.lists(st.sampled_from([b"P5", b"P6", b"+", b"_"] + _SEPARATORS + _NUMBERS),
+             max_size=10).map(b"".join), _TAILS,
+).map(b"".join)
+
+
+def _outcome(decode, data):
+    try:
+        pixels, maxval = decode(data)
+    except ImageDecodeError as exc:
+        return "error", str(exc)
+    return ("decoded", pixels.tobytes(), pixels.shape, pixels.dtype, maxval,
+            pixels.flags.writeable, pixels.flags.owndata)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(data=PGM_LIKE)
+def test_decoder_matches_the_tokenizer_reference(data):
+    assert _outcome(decode_pgm, data) == _outcome(reference_decode_pgm, data)
+
+
+def test_header_of_100000_comment_lines_decodes():
+    data = b"P5\n" + b"# a comment line\n" * 100_000 + b"2 1\n255\n" + bytes([7, 9])
+    pixels, maxval = decode_pgm(data)
+    assert pixels.tolist() == [[7, 9]] and maxval == 255
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 9), st.integers(1, 9)))
 def test_encode_decode_round_trip_for_every_maxval(seed, shape):
