@@ -50,6 +50,8 @@ def read_curves_csv(path: str | Path) -> list[EpochRecord]:
             epoch, values = int(parts[0]), [float(p) for p in parts[1:]]
             if not (math.isfinite(epoch) and all(map(math.isfinite, values))):
                 raise ValueError("non-finite value")
+            if epoch <= (records[-1].epoch if records else 0):  # as train writes them
+                raise ValueError(f"epoch {epoch} out of order: epochs rise from 1")
         except (ValueError, OverflowError) as exc:
             raise CurvesFormatError(f"line {lineno}: {exc}") from exc
         records.append(EpochRecord(epoch, *values))
@@ -85,6 +87,11 @@ def _share(v, value_range):
     return (v - lo) / (hi - lo)
 
 
+def _tick(v):  # in full where 4 digits round past the float range, as 1.798e+308
+    label = f"{v:.4g}"
+    return label if math.isfinite(float(label)) else repr(v)
+
+
 def _polyline(xs, ys, x_range, y_range, ox, oy, color, dashed):
     pts = []
     for x, y in zip(xs, ys):
@@ -111,9 +118,9 @@ def _panel(title, ylabel, epochs, train_vals, val_vals, ox, oy):
         f'{oy + _PANEL_H / 2:.0f})">{ylabel}</text>',
         # min/max tick labels
         f'<text x="{ox - 6}" y="{oy + _PANEL_H}" text-anchor="end" '
-        f'font-size="10">{y_range[0]:.4g}</text>',
+        f'font-size="10">{_tick(y_range[0])}</text>',
         f'<text x="{ox - 6}" y="{oy + 10}" text-anchor="end" '
-        f'font-size="10">{y_range[1]:.4g}</text>',
+        f'font-size="10">{_tick(y_range[1])}</text>',
         f'<text x="{ox}" y="{oy + _PANEL_H + 16}" text-anchor="middle" '
         f'font-size="10">{epochs[0]}</text>',
         f'<text x="{ox + _PANEL_W}" y="{oy + _PANEL_H + 16}" '

@@ -6,8 +6,9 @@ names are the sorted directory names and the label of a sample is its class
 position in that order, so loading is fully deterministic for a given tree.
 
 Preprocessing maps every image to a [1, 32, 32] float64 tensor in [0, 1]:
-decode -> normalize (v / maxval) -> bilinear resize, files decoded in order and
-runs of same-shape images resized in one call under a fixed pixel budget.
+decode -> bilinear resize of v / maxval, files loaded one at a time in order.
+Each frame is cut to the at most 4 * 32 * 32 samples its bilinear taps read
+before those are normalized, so a large CT slice is never converted whole.
 
 Training-time augmentation is one inverse affine map per sample (flip,
 rotation, shift), its bilinear taps gathered for a whole [B, 1, H, W] batch
@@ -21,6 +22,7 @@ be able to fit.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -49,9 +51,6 @@ SYNTH_CLASS_DIRS = ("0_horizontal", "1_vertical", "2_checker")
 # quickly. At 32x32 generation the same patterns train far more slowly.
 SYNTH_IMAGE_SIZE = 12
 SYNTH_NOISE_SIGMA = 16.0  # gray levels
-# Source plus output pixels resized in one call (512 KB as float64): 56
-# 12x12 images share a call, while a 512x512 slice is resized alone.
-LOAD_RUN_PIXELS = 1 << 16
 
 
 @dataclass
@@ -125,7 +124,7 @@ def decode_pgm(data: bytes) -> tuple[np.ndarray, int]:
     Header comments (``#`` to end of line) may appear between tokens, and
     the numbers are ASCII decimal digits. After the maxval token exactly one
     whitespace byte separates header and pixel payload; no sample may exceed
-    maxval.
+    maxval. The pixels are a view of ``data``, so read-only for ``bytes``.
     """
     header = _PGM_HEADER.match(data)
     magic, *numbers = header.groups()
@@ -149,8 +148,7 @@ def decode_pgm(data: bytes) -> tuple[np.ndarray, int]:
     if len(data) - offset < width * height:
         raise ImageDecodeError(f"PGM payload truncated: expected {width * height} bytes,"
                                f" got {len(data) - offset}")
-    pixels = np.frombuffer(data, np.uint8, width * height, offset)
-    pixels = pixels.reshape(height, width).copy()
+    pixels = np.frombuffer(data, np.uint8, width * height, offset).reshape(height, width)
     if maxval < 255 and pixels.max() > maxval:
         raise ImageDecodeError(f"PGM sample {pixels.max()} exceeds maxval {maxval}")
     return pixels, maxval
@@ -177,14 +175,44 @@ def encode_pgm(img: np.ndarray, maxval: int = 255) -> bytes:
 
 def normalize(img: np.ndarray, maxval: int | np.ndarray = 255) -> np.ndarray:
     """Map [0, maxval] to [0, 1] as v / maxval in one new buffer; maxval may broadcast."""
-    out = np.array(img, dtype=np.float64)
-    out /= maxval
-    return out
+    return np.divide(img, maxval, dtype=np.float64)
 
 
 def _check_resizable(shape: tuple[int, ...]) -> None:
     if len(shape) < 2 or shape[-2] < 2 or shape[-1] < 2:
         raise InvalidShape(f"resize needs an H x W image with H, W >= 2, got {shape}")
+
+
+# One shape's index set is 32 KB; the bound keeps a stream of distinct shapes
+# from growing the cache for the life of the process.
+@functools.lru_cache(maxsize=32)
+def _taps(h: int, w: int, out_h: int, out_w: int):
+    """Flat indices [2, 2, out_h, out_w] of the corners (c0, c1) x (r0, r1) of an
+    H x W source, and the weights (1 - tr, tr) and (1 - tc, tc); shared, so read-only.
+    """
+    src_r = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    src_c = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    r0 = np.floor(src_r).astype(np.int64)
+    c0 = np.floor(src_c).astype(np.int64)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    tr = (src_r - r0)[:, None]
+    tc = (src_c - c0)[None, None, :]
+    index = np.stack([r0, r1])[None, :, :, None] * w + np.stack([c0, c1])[:, None, None, :]
+    taps = index, np.stack([1.0 - tr, tr]), np.stack([1.0 - tc, tc])
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
+def _interpolate(samples: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> np.ndarray:
+    """Blend samples [..., 2, 2, out_h, out_w] taken at ``_taps``: top * (1 - tr) +
+    bottom * tr, top = s[r0, c0] * (1 - tc) + s[r0, c1] * tc, in this order for the bits.
+    """
+    cols = samples * col_w
+    top_bottom = cols[..., 0, :, :, :] + cols[..., 1, :, :, :]
+    rows = top_bottom * row_w
+    return rows[..., 0, :, :] + rows[..., 1, :, :]
 
 
 def resize_bilinear(img: np.ndarray, out_h: int = IMAGE_SIZE,
@@ -198,21 +226,9 @@ def resize_bilinear(img: np.ndarray, out_h: int = IMAGE_SIZE,
     """
     img = np.asarray(img, dtype=np.float64)
     _check_resizable(img.shape)
-    h, w = img.shape[-2:]
-
-    src_r = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-    src_c = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-    r0 = np.floor(src_r).astype(np.int64)
-    c0 = np.floor(src_c).astype(np.int64)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    tr = (src_r - r0)[:, None]
-    tc = (src_c - c0)[None, :]
-    r0, r1 = r0[:, None], r1[:, None]
-
-    top = img[..., r0, c0] * (1.0 - tc) + img[..., r0, c1] * tc
-    bottom = img[..., r1, c0] * (1.0 - tc) + img[..., r1, c1] * tc
-    return top * (1.0 - tr) + bottom * tr
+    index, row_w, col_w = _taps(*img.shape[-2:], out_h, out_w)
+    samples = np.take(img.reshape(*img.shape[:-2], -1), index, axis=-1)
+    return _interpolate(samples, row_w, col_w)
 
 
 # ---------------------------------------------------------------------------
@@ -272,42 +288,20 @@ def augment(pixels: np.ndarray, cfg: AugmentConfig, draws) -> np.ndarray:
 # loading
 # ---------------------------------------------------------------------------
 
-def _load_images(paths: list[str | Path]) -> np.ndarray:
-    """Decode PGM files in order (an error names the first bad one) to [n, 1, 32, 32].
-
-    A run of same-shape images within LOAD_RUN_PIXELS is normalized and
-    resized in one call; only one run of decoded images is held at a time.
-    """
-    out = np.empty((len(paths), 1, IMAGE_SIZE, IMAGE_SIZE))
-    run, maxvals = [], []
-
-    def flush() -> None:
-        done = len(maxvals) - len(run)
-        out[done:len(maxvals), 0] = resize_bilinear(
-            normalize(np.stack(run), np.array(maxvals[done:])[:, None, None]))
-        run.clear()
-
-    for path in paths:
-        raw = read_input(path, ImageDecodeError)
-        try:
-            img, maxval = decode_pgm(raw)
-            _check_resizable(img.shape)  # here, so a 1-pixel-high file is named in order
-        except (ImageDecodeError, InvalidShape) as exc:
-            raise ImageDecodeError(f"{path}: {exc}") from exc
-        if run and img.shape != run[0].shape:
-            flush()
-        run.append(img)
-        maxvals.append(maxval)
-        if (len(run) + 1) * (img.size + IMAGE_SIZE ** 2) > LOAD_RUN_PIXELS:
-            flush()  # full: resize before reading on, so one run is held at most
-    if run:
-        flush()
-    return out
-
-
 def load_image(path: str | Path) -> np.ndarray:
-    """Decode + normalize + resize one PGM file to [1, 32, 32] in [0, 1]."""
-    return _load_images([path])[0]
+    """Decode + normalize + resize one PGM file to [1, 32, 32] in [0, 1].
+
+    Only the tapped samples are normalized: as v / maxval is elementwise, the
+    bits are those of normalizing the whole frame.
+    """
+    raw = read_input(path, ImageDecodeError)
+    try:
+        img, maxval = decode_pgm(raw)
+        _check_resizable(img.shape)  # in the try, so a 1-pixel-high file is named
+    except (ImageDecodeError, InvalidShape) as exc:
+        raise ImageDecodeError(f"{path}: {exc}") from exc
+    index, row_w, col_w = _taps(*img.shape, IMAGE_SIZE, IMAGE_SIZE)
+    return _interpolate(normalize(np.take(img, index), maxval), row_w, col_w)[None]
 
 
 def load_dataset(root_dir: str | Path, split_name: str) -> Dataset:
@@ -332,14 +326,12 @@ def load_dataset(root_dir: str | Path, split_name: str) -> Dataset:
         raise DatasetNotFound(f"no class directories under {split_dir}")
     class_names = [p.name for p in class_dirs]
 
-    labeled = []
+    samples = []
     for label, (class_dir, files) in enumerate(zip(class_dirs, class_files)):
         if not files:
             log.warning("class directory %s contains no .pgm files", class_dir)
-        labeled += [(f, label) for f in files]
-    pixels = _load_images([f for f, _ in labeled])
-    samples = [Sample(pixels=p, label=label, source_path=str(f))
-               for p, (f, label) in zip(pixels, labeled)]
+        samples += [Sample(pixels=load_image(f), label=label, source_path=str(f))
+                    for f in files]
     return Dataset(samples=samples, class_names=class_names, split=split_name)
 
 

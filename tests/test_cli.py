@@ -612,6 +612,22 @@ class TestExportCurves:
                 assert ox <= x <= ox + 420 and 40 <= y <= 340, point
         labels = [t.text for t in svg.iter(ns + "text") if t.get("font-size") == "10"]
         assert all(map(_NUMBER_TEXT.fullmatch, labels)), labels
+        assert all(math.isfinite(float(label)) for label in labels), labels
+
+    @pytest.mark.parametrize("rows", [["0,0.5,0.6,0.7,0.4"], ["-3,0.5,0.6,0.7,0.4"],
+                                      ["1,0.5,0.6,0.7,0.4", "1,0.4,0.7,0.6,0.5"],
+                                      ["2,0.5,0.6,0.7,0.4", "1,0.4,0.7,0.6,0.5"]],
+                             ids=["zero", "negative", "repeated", "backwards"])
+    def test_epoch_train_could_not_write_exits_2_naming_its_line(self, tmp_path, capsys,
+                                                                 rows):
+        csv_path, svg_path = tmp_path / "bad.csv", tmp_path / "bad.svg"
+        csv_path.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                            + "\n".join(rows) + "\n")
+        assert cli.main(["export-curves", "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {len(rows) + 1}: epoch ")
+        assert len(err.splitlines()) == 1 and not svg_path.exists()
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import logging
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -165,7 +166,7 @@ def reference_decode_pgm(data: bytes) -> tuple[np.ndarray, int]:
             f"PGM payload truncated: expected {width * height} bytes,"
             f" got {len(payload)}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)  # read-only
     if maxval < 255 and pixels.max() > maxval:
         raise ImageDecodeError(f"PGM sample {pixels.max()} exceeds maxval {maxval}")
     return pixels, maxval
@@ -474,7 +475,7 @@ class TestLoadDataset:
         assert "0.pgm" in str(err.value)
 
     def test_batched_loader_matches_per_image_oracle(self, tmp_path):
-        # 70 12x12 images span two runs; then shapes change file by file
+        # 70 12x12 images; then shapes change file by file
         rng = np.random.default_rng(12)
         shapes = {"a": [(12, 12)] * 70,
                   "b": [(2, 2), (7, 9), (7, 9), (512, 512), (12, 12), (33, 5), (2, 2)]}
@@ -493,19 +494,27 @@ class TestLoadDataset:
             assert s.pixels.tobytes() == expect[None].tobytes()
             assert load_image(s.source_path).tobytes() == expect[None].tobytes()
 
-    def test_resize_runs_stay_within_pixel_budget(self, tmp_path, monkeypatch):
-        self._make_tree(tmp_path, n=40, size=12)
-        runs = []
+    def test_large_frame_normalizes_only_its_taps(self, tmp_path, monkeypatch):
+        sizes = []
 
-        def recording_resize(img):
-            runs.append(img.shape)
-            return resize_bilinear(img)
+        def recording_normalize(img, maxval=255):
+            sizes.append(np.size(img))
+            return normalize(img, maxval)
 
-        monkeypatch.setattr(data_mod, "resize_bilinear", recording_resize)
-        assert len(load_dataset(tmp_path, "train")) == 80
-        assert sum(n for n, _, _ in runs) == 80 and len(runs) == 2
-        for n, h, w in runs:
-            assert n * (h * w + 32 * 32) <= data_mod.LOAD_RUN_PIXELS
+        monkeypatch.setattr(data_mod, "normalize", recording_normalize)
+        img = np.random.default_rng(13).integers(0, 256, size=(512, 512)).astype(np.uint8)
+        (tmp_path / "ct.pgm").write_bytes(encode_pgm(img))
+        load_image(tmp_path / "ct.pgm")
+        assert sizes and max(sizes) <= 4 * 32 * 32
+
+    def test_tap_cache_stays_within_its_bound(self, tmp_path):
+        bound = data_mod._taps.cache_info().maxsize
+        class_dir = tmp_path / "train" / "a"
+        class_dir.mkdir(parents=True)
+        for w in range(2, bound + 4):  # more distinct shapes than the cache holds
+            (class_dir / f"{w:04d}.pgm").write_bytes(encode_pgm(np.zeros((3, w))))
+        assert len(load_dataset(tmp_path, "train")) == bound + 2
+        assert data_mod._taps.cache_info().currsize <= bound
 
     @pytest.mark.parametrize("bad", [b"not a pgm at all", encode_pgm(np.zeros((1, 8)))],
                              ids=["undecodable", "one-pixel-high"])
@@ -525,6 +534,27 @@ class TestLoadDataset:
         assert len(ds) == 6
         assert ds.class_names == ["alpha", "beta", "zeta"]
         assert any("zeta" in rec.message for rec in caplog.records)
+
+
+_LOADER_DIMS = st.integers(2, 40) | st.sampled_from([63, 64, 65, 511, 512, 1000])
+
+
+@settings(max_examples=50, deadline=None)
+@given(images=st.lists(st.tuples(_LOADER_DIMS, _LOADER_DIMS, st.integers(1, 255),
+                                  st.integers(0, 2**32 - 1)), min_size=1, max_size=4))
+def test_loader_matches_per_image_oracle_for_any_shape(images):
+    with tempfile.TemporaryDirectory() as tmp:
+        split = Path(tmp) / "train"
+        for i, (h, w, maxval, seed) in enumerate(images):
+            img = np.random.default_rng(seed).integers(0, maxval + 1, size=(h, w))
+            (split / f"c{i % 2}").mkdir(parents=True, exist_ok=True)
+            (split / f"c{i % 2}" / f"{i}.pgm").write_bytes(encode_pgm(img, maxval=maxval))
+        ds = load_dataset(tmp, "train")  # the images in one split of mixed shapes
+        assert len(ds) == len(images)
+        for s in ds.samples:
+            expect = _resize_one(normalize(*decode_pgm(Path(s.source_path).read_bytes())))
+            assert s.pixels.tobytes() == expect[None].tobytes()
+            assert load_image(s.source_path).tobytes() == expect[None].tobytes()
 
 
 class TestGenSynthetic:
