@@ -268,7 +268,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CorruptCheckpoint(f"checkpoint {args.checkpoint} gives a non-finite loss"
                                 f" on {args.split!r}")
     payload = metrics_mod.metrics_json(args.split, mean_loss, cm, names, positives)
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    sys.stdout.write(ckpt_mod.json_bytes(payload).decode())  # the bytes of metrics.json
     return EXIT_OK
 
 

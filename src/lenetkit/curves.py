@@ -71,7 +71,7 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _auto_range(values):
-    lo, hi = min(values), max(values)
+    lo, hi = float(min(values)), float(max(values))  # epochs past 2**53 can round equal
     if hi <= lo:  # a flat curve; past 2**39 a half unit would vanish in rounding
         half = max(0.5, abs(lo) / 2**40)
         lo, hi = max(lo - half, -_FLOAT_MAX), min(hi + half, _FLOAT_MAX)

@@ -2,8 +2,8 @@
 
 Both losses fuse the softmax: they consume pre-softmax logits and use the
 log-sum-exp formulation, so -ln(p_t) never goes through an explicit, possibly
-underflowing probability. Gradients returned are for the *mean* loss over
-the batch.
+underflowing probability, and no probability is clamped. Gradients returned
+are for the *mean* loss over the batch.
 
 Focal loss follows the standard form FL = -alpha_t * (1 - p_t)^gamma * ln(p_t),
 which reduces exactly to cross-entropy at gamma=0 with uniform alpha.
@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, InvalidLabel, InvalidShape
-
-P_MIN = 1e-12  # clamp for p_t before the log; guards saturated outputs
 
 
 @dataclass
@@ -82,8 +80,7 @@ def cross_entropy(logits: np.ndarray, targets) -> LossOutput:
     n = logits.shape[0]
     logp = _log_softmax(logits)
     per_sample = -logp[np.arange(n), targets]
-    probs = np.exp(logp)
-    dlogits = probs.copy()
+    dlogits = np.exp(logp)
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
     return LossOutput(float(per_sample.mean()), dlogits, per_sample)
@@ -92,8 +89,9 @@ def cross_entropy(logits: np.ndarray, targets) -> LossOutput:
 def focal_loss(logits: np.ndarray, targets, cfg: FocalConfig) -> LossOutput:
     """Mean of -alpha_t * (1 - p_t)^gamma * ln(p_t) over the batch.
 
-    The gradient is the exact derivative through the softmax: with
-    g_n = d(FL_n)/d(p_t), dlogits[n,j] = g_n * p_t * (delta_{t,j} - p[n,j]) / N.
+    The gradient is the exact derivative through the softmax,
+    dlogits[n] = g_n * (onehot(target_n) - p[n]) / N with g_n = p_t * dFL_n/dp_t
+    = alpha_t * (gamma * (1-p_t)^(gamma-1) * p_t * ln(p_t) - (1-p_t)^gamma).
     """
     if not isinstance(cfg, FocalConfig):
         raise InvalidConfig("cfg must be a FocalConfig")
@@ -106,28 +104,25 @@ def focal_loss(logits: np.ndarray, targets, cfg: FocalConfig) -> LossOutput:
     alpha_t = np.ones(n) if cfg.alpha is None else cfg.alpha[targets]
     gamma = cfg.gamma
 
+    rows = np.arange(n)
     logp = _log_softmax(logits)
     probs = np.exp(logp)
-    pt = probs[np.arange(n), targets]
-    pt_c = np.maximum(pt, P_MIN)
-    log_pt = np.log(pt_c)
+    log_pt = logp[rows, targets]
+    pt = probs[rows, targets]
     one_minus = 1.0 - pt
+    focus = one_minus ** gamma
 
-    per_sample = -alpha_t * one_minus ** gamma * log_pt
+    per_sample = -alpha_t * focus * log_pt
 
-    # d(FL)/d(p_t) = alpha * [gamma * (1-p_t)^(gamma-1) * ln(p_t) - (1-p_t)^gamma / p_t]
-    if gamma == 0.0:
-        dfl_dpt = -alpha_t / pt_c
-    else:
-        # (1-p_t)^(gamma-1) diverges at p_t=1 for gamma<1, but ln(p_t)=0 there
-        # and the true limit of the whole term is 0; mask it explicitly.
-        pow_gm1 = np.where(one_minus > 0.0, one_minus, 1.0) ** (gamma - 1.0)
-        pow_gm1 = np.where(one_minus > 0.0, pow_gm1, 0.0)
-        dfl_dpt = alpha_t * (gamma * pow_gm1 * log_pt - one_minus ** gamma / pt_c)
+    # (1-p_t)^(gamma-1) diverges at p_t=1 for gamma<1, but the true limit of
+    # the whole term is 0 there, since ln(p_t) -> 0; mask it explicitly.
+    pow_gm1 = np.where(one_minus > 0.0, one_minus, 1.0) ** (gamma - 1.0)
+    pow_gm1 = np.where(one_minus > 0.0, pow_gm1, 0.0)
+    g = alpha_t * (gamma * pow_gm1 * pt * log_pt - focus)
 
     onehot = np.zeros_like(probs)
-    onehot[np.arange(n), targets] = 1.0
-    dlogits = (dfl_dpt * pt)[:, None] * (onehot - probs) / n
+    onehot[rows, targets] = 1.0
+    dlogits = g[:, None] * (onehot - probs) / n
     return LossOutput(float(per_sample.mean()), dlogits, per_sample)
 
 

@@ -55,15 +55,40 @@ class TestCrossEntropy:
 
 class TestFocalLoss:
     def test_gamma_zero_reduces_to_cross_entropy(self):
+        # equal values, not merely close: at scale 300 most probabilities
+        # underflow, and a -0.0 gradient entry still equals cross-entropy's 0.0
         rng = np.random.default_rng(3)
-        for _ in range(10):
+        for scale in np.repeat([1.0, 3.0, 30.0, 300.0], 10):
             n, k = rng.integers(1, 9), rng.integers(2, 6)
-            logits = rng.normal(scale=3.0, size=(n, k))
+            logits = rng.normal(scale=scale, size=(n, k))
             targets = rng.integers(0, k, size=n)
             fl = focal_loss(logits, targets, FocalConfig(gamma=0.0))
             ce = cross_entropy(logits, targets)
-            assert abs(fl.mean_loss - ce.mean_loss) <= 1e-12
-            np.testing.assert_allclose(fl.dlogits, ce.dlogits, atol=1e-12)
+            assert fl.mean_loss == ce.mean_loss
+            np.testing.assert_array_equal(fl.per_sample, ce.per_sample)
+            np.testing.assert_array_equal(fl.dlogits, ce.dlogits)
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    @pytest.mark.parametrize("gap", [28.0, 35.0, 60.0, 700.0])
+    def test_confidently_wrong_keeps_its_gradient(self, gap, gamma):
+        # row n has target n while another class leads it by `gap` logits
+        logits = np.array([[0.0, gap, 0.0], [0.0, 0.0, gap], [gap, 0.0, 0.0]])
+        targets = np.array([0, 1, 2])
+        alpha = np.array([0.5, 1.0, 2.0])
+        cfg = FocalConfig(gamma=gamma, alpha=alpha)
+        out = focal_loss(logits, targets, cfg)
+
+        log_pt = -(gap + math.log1p(2.0 * math.exp(-gap)))  # z_t - logsumexp(z)
+        expect = -alpha * (1.0 - math.exp(log_pt)) ** gamma * log_pt
+        np.testing.assert_allclose(out.per_sample, expect, rtol=1e-12)
+
+        def loss():
+            return focal_loss(logits, targets, cfg).mean_loss
+
+        assert rel_err(out.dlogits, central_diff(loss, logits)) <= FD_TOL
+        # rel_err floors at 1, so a vanished gradient would pass it at large gaps
+        np.testing.assert_allclose(out.dlogits[np.arange(3), targets],
+                                   -alpha / 3, rtol=1e-9)
 
     def test_confident_correct_vanishes(self):
         out = focal_loss(np.array([[40.0, 0.0]]), [0], FocalConfig(gamma=2.0))
