@@ -66,10 +66,13 @@ def _check_inputs(logits: np.ndarray, targets) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # a row whose max is infinite has no finite shift: it turns NaN, as its loss
+    with np.errstate(invalid="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+@np.errstate(over="ignore")  # an overflow only makes a loss infinite
 def cross_entropy(logits: np.ndarray, targets) -> LossOutput:
     """Mean of -ln p[n, target_n] with p = softmax(logits).
 
@@ -86,6 +89,7 @@ def cross_entropy(logits: np.ndarray, targets) -> LossOutput:
     return LossOutput(float(per_sample.mean()), dlogits, per_sample)
 
 
+@np.errstate(over="ignore")  # an overflow only makes a loss infinite
 def focal_loss(logits: np.ndarray, targets, cfg: FocalConfig) -> LossOutput:
     """Mean of -alpha_t * (1 - p_t)^gamma * ln(p_t) over the batch.
 
@@ -118,7 +122,9 @@ def focal_loss(logits: np.ndarray, targets, cfg: FocalConfig) -> LossOutput:
     # the whole term is 0 there, since ln(p_t) -> 0; mask it explicitly.
     pow_gm1 = np.where(one_minus > 0.0, one_minus, 1.0) ** (gamma - 1.0)
     pow_gm1 = np.where(one_minus > 0.0, pow_gm1, 0.0)
-    g = alpha_t * (gamma * pow_gm1 * pt * log_pt - focus)
+    # likewise p_t * ln(p_t) -> 0 as p_t -> 0, where ln(p_t) may be -inf
+    spread = np.multiply(gamma * pow_gm1 * pt, log_pt, out=np.zeros(n), where=pt > 0.0)
+    g = alpha_t * (spread - focus)
 
     onehot = np.zeros_like(probs)
     onehot[rows, targets] = 1.0

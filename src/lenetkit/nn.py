@@ -12,22 +12,31 @@ Fixed architecture over [N, 1, 32, 32] inputs (valid convolutions, stride 1):
 convention; every backward formula below is the exact derivative of its
 forward formula, which is what the finite-difference tests check.
 
-Each convolution is a GEMM over the input's column matrix (im2col), laid out
-as [C*kh*kw, N*Ho*Wo] as in Caffe: forward is kernel[O, C*kh*kw] @ cols, and
-the kernel gradient is dout[O, N*Ho*Wo] @ cols.T. A model owns a
-``Workspace`` of grow-only scratch buffers that these GEMMs reuse across
-calls: one column buffer that conv1 and conv2 share (so at most one column
-matrix is alive), dout as [O, N*Ho*Wo], and conv2's input-gradient
+Every convolution-side activation and gradient is stored batch-innermost, as
+[C, H, W, N] memory (the layout of cuda-convnet), and passed around as its
+[N, C, H, W]-shaped view ``transpose(3, 0, 1, 2)``; the layers read any other
+layout too, with the same bits. Each convolution is a GEMM over the input's
+column matrix (im2col), laid out as [C*kh*kw, Ho*Wo*N]: forward is kernel[O,
+C*kh*kw] @ cols, already the output in batch-innermost order, and the kernel
+gradient is dout[O, Ho*Wo*N] @ cols.T, with dout read in place. im2col and
+col2im copy runs of Wo*N values.
+
+A forward builds its columns in blocks of output rows, at most COLUMN_BYTES
+(1 MB, a block that stays in L2) each, and writes each block's product
+straight into its output. A model owns a ``Workspace`` of grow-only scratch
+buffers that these GEMMs reuse across calls: one column buffer that conv1 and
+conv2 share (so at most one column matrix is alive) and conv2's input-gradient
 accumulator. The workspace records whose columns the buffer holds: a backward
-reuses the columns its forward left there and builds any others from its input,
-so any unconsumed trace backpropagates exactly. A traced forward's activations,
-the probabilities and the gradients are fresh arrays; the elementwise backward
-layers make one output-sized array each and work in it in place.
+reuses the columns its forward left there when one block held them all, and
+builds any others from its input, so any unconsumed trace backpropagates
+exactly. A traced forward's activations, the probabilities and the gradients
+are fresh arrays; the elementwise backward layers make one output-sized array
+each and work in it in place.
 
 A forward-only pass (``model_forward(..., for_backward=False)``, which
-``evaluate`` and ``predict`` run) keeps its activations in workspace buffers
-too, and builds each conv's columns at most CONV_BLOCK = 8 images at a time
-(1.25 MB for conv1, a block that stays in L2). No backward can read its trace.
+``evaluate`` and ``predict`` run) is the same code with its activations in
+workspace buffers, so its bits are the traced pass's. No backward can read
+its trace.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from .errors import InvalidShape, InvalidState
 
 IMAGE_SIZE = 32
 FLAT_FEATURES = 400  # 16 channels x 5 x 5 after the second pooling
-CONV_BLOCK = 8  # images per column block when conv2d_forward is given ``out``
+COLUMN_BYTES = 1 << 20  # budget of one block of rows of conv2d_forward's columns
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +94,10 @@ class Workspace:
 
     ``take`` hands out a prefix of the role's buffer, so conv1 and conv2 share
     one column buffer and a small batch reuses a larger one's memory. Roles:
-    "cols", "dout_t" and "dx" for the convs, and "sig1", "pool1", "sig2" and
-    "flat" for a forward-only pass's activations.
-    ``holds`` is the (x, kh, kw) whose columns the column buffer holds, or None.
+    "cols" and "dx" for the convs, and "sig1", "pool1", "sig2" and "flat" for
+    a forward-only pass's activations, each in batch-innermost order.
+    ``holds`` is the (x, kh, kw, start, stop) whose columns for output rows
+    start to stop the column buffer holds, or None.
     """
 
     def __init__(self):
@@ -161,23 +171,26 @@ def init_params(seed: int, num_classes: int = 3) -> LeNetModel:
 # layer primitives
 # ---------------------------------------------------------------------------
 
-def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace) -> np.ndarray:
-    """im2col into the workspace's column buffer: cols[C*kh*kw, N*Ho*Wo].
+def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace,
+             start: int = 0, stop: int | None = None) -> np.ndarray:
+    """im2col of output rows start to stop (all by default) into the
+    workspace's column buffer: cols[C*kh*kw, R*Wo*N] with R = stop - start.
 
-    Row (c,u,v), column (n,i,j) holds x[n,c,i+u,j+v]. The copy reads x's
-    sliding windows as a strided view [C,kh,kw,N,Ho,Wo] and runs along j, Wo
-    contiguous values at a time. It is skipped when the buffer's record says
-    it holds these columns already.
+    Row (c,u,v), column (i,j,n) holds x[n,c,start+i+u,j+v]. The copy reads
+    x's sliding windows as a strided view [C,kh,kw,R,Wo,N]; for a
+    batch-innermost x it runs along (j, n), Wo*N contiguous values at a time.
+    It is skipped when the buffer's record says it holds these columns already.
     """
     n, c, h, w = x.shape
     ho, wo = h - kh + 1, w - kw + 1
-    cols = ws.take("cols", (c, kh, kw, n, ho, wo))
-    if ws.holds is None or ws.holds[0] is not x or ws.holds[1:] != (kh, kw):
+    stop = ho if stop is None else stop
+    cols = ws.take("cols", (c, kh, kw, stop - start, wo, n))
+    if ws.holds is None or ws.holds[0] is not x or ws.holds[1:] != (kh, kw, start, stop):
         sn, sc, sh, sw = x.strides
         np.copyto(cols, np.lib.stride_tricks.as_strided(
-            x, cols.shape, (sc, sh, sw, sn, sh, sw), writeable=False))
-        ws.holds = (x, kh, kw)
-    return cols.reshape(c * kh * kw, n * ho * wo)
+            x[:, :, start:], cols.shape, (sc, sh, sw, sh, sw, sn), writeable=False))
+        ws.holds = (x, kh, kw, start, stop)
+    return cols.reshape(c * kh * kw, (stop - start) * wo * n)
 
 
 def _conv_dims(x: np.ndarray, kernel: np.ndarray) -> tuple[int, ...]:
@@ -193,18 +206,16 @@ def _conv_dims(x: np.ndarray, kernel: np.ndarray) -> tuple[int, ...]:
     return n, cin, h, w, cout, kh, kw
 
 
-def _param_grads(cols: np.ndarray, kernel: np.ndarray, dout: np.ndarray,
-                 ws: Workspace):
-    """(dout_t, dkernel, dbias) of a conv from its input's column matrix.
+def _param_grads(cols: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
+    """(dout_mat, dkernel, dbias) of a conv from its input's column matrix.
 
-    dout_t is dout as [O, N*Ho*Wo] in the workspace; dL/dk = dout_t @ cols.T
-    and dL/db[o] = sum_{n,i,j} dout[n,o,i,j].
+    dout_mat is dout as a C-contiguous [O, Ho*Wo*N], a view when dout is
+    batch-innermost; dL/dk = dout_mat @ cols.T and dL/db[o] = sum_{n,i,j}
+    dout[n,o,i,j].
     """
-    n, cout, ho, wo = dout.shape
-    dout_t = ws.take("dout_t", (cout, n, ho, wo))
-    np.copyto(dout_t, dout.transpose(1, 0, 2, 3))
-    dout_t = dout_t.reshape(cout, n * ho * wo)
-    return dout_t, (dout_t @ cols.T).reshape(kernel.shape), dout_t.sum(axis=1)
+    dout_mat = np.ascontiguousarray(dout.transpose(1, 2, 3, 0))
+    dout_mat = dout_mat.reshape(kernel.shape[0], -1)
+    return dout_mat, (dout_mat @ cols.T).reshape(kernel.shape), dout_mat.sum(axis=1)
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
@@ -215,57 +226,48 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
     out[n,o,i,j] = bias[o] + sum_{c,u,v} x[n,c,i+u,j+v] * kernel[o,c,u,v]
 
     Computed as kernel[O, C*kh*kw] @ cols in ``workspace`` (a fresh one if
-    None), which holds x's columns afterwards. They are always rebuilt: a
-    caller may have refilled x in place since the buffer's record was made.
+    None), one block of output rows at a time: a block has as many rows as
+    fit in COLUMN_BYTES of columns, at least one, and its GEMM writes straight
+    into those rows of the output. The columns are always rebuilt: a caller
+    may have refilled x in place since the buffer's record was made.
 
-    Given ``out``, a C-contiguous channel-major [O,N,Ho,Wo] array, the
-    columns are built one block of images at a time and each block's GEMM
-    writes straight into out[:, block]; the workspace holds no columns
-    afterwards, and the result is the [N,O,Ho,Wo] view ``out.transpose(1, 0,
-    2, 3)``. Blocks hold CONV_BLOCK images, except that a last block shorter
-    than half a block takes half a block from the one before. The values are
-    those of the call without ``out``, and for LeNet's convs the bits too:
-    every block but the last spans whole 16-column register tiles (4 conv2
-    images are 400 columns), and no 1- or 3-image conv2 GEMM, whose ragged
-    end OpenBLAS's small-matrix kernel rounds differently, follows a wider one.
+    The result is the [N,O,Ho,Wo] view ``out.transpose(3, 0, 1, 2)`` of a
+    C-contiguous batch-innermost [O,Ho,Wo,N] array: ``out`` if given, else a
+    fresh one.
     """
     n, cin, h, w, cout, kh, kw = _conv_dims(x, kernel)
     if bias.shape != (cout,):
         raise InvalidShape(f"bias shape {bias.shape} != ({cout},)")
+    ho, wo = h - kh + 1, w - kw + 1
+    if out is None:
+        out = np.empty((cout, ho, wo, n))
+    elif out.shape != (cout, ho, wo, n) or not out.flags.c_contiguous:
+        raise InvalidShape(f"out must be a C-contiguous {(cout, ho, wo, n)} array,"
+                           f" got {out.shape}")
     ws = Workspace() if workspace is None else workspace
     ws.holds = None
-    ho, wo = h - kh + 1, w - kw + 1
     k = kernel.reshape(cout, -1)
-    if out is None:
-        out_t = k @ _columns(x, kh, kw, ws)
-        out = np.ascontiguousarray(out_t.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
-        out += bias[None, :, None, None]  # in place: no second output-sized array
-        return out
-    if out.shape != (cout, n, ho, wo) or not out.flags.c_contiguous:
-        raise InvalidShape(f"out must be a C-contiguous {(cout, n, ho, wo)} array,"
-                           f" got {out.shape}")
-    starts = list(range(0, n, CONV_BLOCK))
-    if n > CONV_BLOCK and n - starts[-1] < CONV_BLOCK // 2:
-        starts[-1] -= CONV_BLOCK // 2
-    for start, stop in zip(starts, starts[1:] + [n]):
-        block = out[:, start:stop]
-        np.matmul(k, _columns(x[start:stop], kh, kw, ws), out=block.reshape(cout, -1))
-        block += bias[:, None, None, None]
-    ws.holds = None  # the buffer holds only the last block's columns
-    return out.transpose(1, 0, 2, 3)
+    rows = max(1, COLUMN_BYTES // max(8 * k.shape[1] * wo * n, 1))
+    for start in range(0, ho, rows):
+        stop = min(start + rows, ho)
+        block = out[:, start:stop].reshape(cout, (stop - start) * wo * n)
+        np.matmul(k, _columns(x, kh, kw, ws, start, stop), out=block)
+        block += bias[:, None]
+    return out.transpose(3, 0, 1, 2)
 
 
 def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
                     workspace: Workspace | None = None):
     """Exact gradients of ``conv2d_forward``: (dx, dkernel, dbias).
 
-    dL/dx is col2im of dcols[c,u,v,n,i,j] = sum_o kernel[o,c,u,v] * dout[n,o,i,j],
+    dL/dx is col2im of dcols[c,u,v,i,j,n] = sum_o kernel[o,c,u,v] * dout[n,o,i,j],
     one GEMM written over the spent columns: window element (i,j,u,v) adds
-    back onto x[n,c,i+u,j+v]. dx is summed in [C,N,H,W] order, the layout
-    dcols is in, and transposed once at the end.
+    back onto x[n,c,i+u,j+v], Wo*N values at a time. dx is summed in the
+    workspace's batch-innermost "dx" buffer and returned as its [N,C,H,W]
+    view, which the workspace's next ``conv2d_backward`` overwrites.
 
-    The columns come from ``workspace`` when its record says it holds x's
-    for this kernel size; otherwise they are built here.
+    The columns come from ``workspace`` when its record says it holds all of
+    x's for this kernel size; otherwise they are built here.
     """
     n, cin, h, w, cout, kh, kw = _conv_dims(x, kernel)
     ho, wo = h - kh + 1, w - kw + 1
@@ -273,16 +275,16 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
         raise InvalidShape(f"dout shape {dout.shape} != output shape {(n, cout, ho, wo)}")
     ws = Workspace() if workspace is None else workspace
     cols = _columns(x, kh, kw, ws)
-    dout_t, dkernel, dbias = _param_grads(cols, kernel, dout, ws)
+    dout_mat, dkernel, dbias = _param_grads(cols, kernel, dout)
     ws.holds = None
-    dcols = np.matmul(kernel.reshape(cout, -1).T, dout_t, out=cols)  # columns are spent
-    dcols = dcols.reshape(cin, kh, kw, n, ho, wo)
-    dx = ws.take("dx", (cin, n, h, w))
+    dcols = np.matmul(kernel.reshape(cout, -1).T, dout_mat, out=cols)  # columns are spent
+    dcols = dcols.reshape(cin, kh, kw, ho, wo, n)
+    dx = ws.take("dx", (cin, h, w, n))
     dx.fill(0.0)
     for u in range(kh):
         for v in range(kw):
-            dx[:, :, u:u + ho, v:v + wo] += dcols[:, u, v]
-    return np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dkernel, dbias
+            dx[:, u:u + ho, v:v + wo] += dcols[:, u, v]
+    return dx.transpose(3, 0, 1, 2), dkernel, dbias
 
 
 def avgpool2d_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -310,8 +312,8 @@ def avgpool2d_backward(x_shape: tuple[int, ...], dout: np.ndarray) -> np.ndarray
         raise InvalidShape(
             f"dout shape {dout.shape} != pooled shape {(n, c, h // 2, w // 2)}"
         )
-    dx = np.empty(x_shape)  # dout * 0.25 == dout / 4.0 exactly: a power of two
-    np.multiply(dout, 0.25, out=dx[:, :, ::2, ::2])
+    dx = np.empty((c, h, w, n)).transpose(3, 0, 1, 2)  # batch-innermost
+    np.multiply(dout, 0.25, out=dx[:, :, ::2, ::2])  # == dout / 4.0 exactly
     dx[:, :, ::2, 1::2] = dx[:, :, ::2, ::2]
     dx[:, :, 1::2] = dx[:, :, ::2]
     return dx
@@ -380,7 +382,8 @@ class ForwardTrace:
 
     Consumed exactly once, by a backward of the model that made it, at any
     time: a second backward from the same trace, or a backward of another
-    model, raises ``InvalidState``.
+    model, raises ``InvalidState``. The fields up to ``sig2`` are [N,C,H,W]
+    views of batch-innermost arrays, and ``flat`` is the [N,400] view of one.
     """
 
     x: np.ndarray        # [N,1,32,32] model input
@@ -402,42 +405,33 @@ def model_forward(model: LeNetModel, x: np.ndarray, *, for_backward: bool = True
     The input must be exactly [N, 1, 32, 32]; anything else raises rather
     than cropping or padding.
 
-    With ``for_backward=False`` the pass is forward-only: each conv writes
-    its output block by block into a channel-major [C,N,H,W] buffer of the
-    model's workspace and its sigmoid runs there in place; pool1 and pool2
-    write workspace buffers too, pool2 straight into ``flat``. The trace is
-    born consumed, so ``model_backward`` refuses it; its activations up to
-    ``flat`` are views of those buffers, which the model's next forward-only
-    pass overwrites. ``logits`` and ``probs`` are fresh arrays, with the bits
-    of the traced pass.
+    With ``for_backward=False`` the pass is forward-only: its activations
+    up to ``flat`` are views of the model's workspace buffers, which its next
+    forward-only pass overwrites, and its trace is born consumed, so
+    ``model_backward`` refuses it. Otherwise it runs the same code as the
+    traced pass, so ``logits`` and ``probs``, fresh arrays, have its bits.
     """
     if x.ndim != 4 or x.shape[1:] != (1, IMAGE_SIZE, IMAGE_SIZE):
         raise InvalidShape(
             f"model input must be [N,1,{IMAGE_SIZE},{IMAGE_SIZE}], got {x.shape}"
         )
-    x = np.asarray(x, dtype=np.float64)
+    # batch-innermost, copied only when it is not already
+    x = np.ascontiguousarray(
+        np.asarray(x, dtype=np.float64).transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     n = x.shape[0]
     p = model.params
     ws = model.workspace
+    take = ws.take if not for_backward else (lambda role, shape: np.empty(shape))
 
-    if for_backward:
-        sig1 = sigmoid_forward(conv2d_forward(x, p["conv1.kernel"].value,
-                                              p["conv1.bias"].value, workspace=ws))
-        pool1 = avgpool2d_forward(sig1)
-        sig2 = sigmoid_forward(conv2d_forward(pool1, p["conv2.kernel"].value,
-                                              p["conv2.bias"].value, workspace=ws))
-        flat = avgpool2d_forward(sig2).reshape(n, FLAT_FEATURES)
-    else:
-        sig1 = conv2d_forward(x, p["conv1.kernel"].value, p["conv1.bias"].value,
-                              workspace=ws, out=ws.take("sig1", (6, n, 28, 28)))
-        sigmoid_forward(sig1, out=sig1)
-        pool1 = avgpool2d_forward(
-            sig1, out=ws.take("pool1", (6, n, 14, 14)).transpose(1, 0, 2, 3))
-        sig2 = conv2d_forward(pool1, p["conv2.kernel"].value, p["conv2.bias"].value,
-                              workspace=ws, out=ws.take("sig2", (16, n, 10, 10)))
-        sigmoid_forward(sig2, out=sig2)
-        flat = ws.take("flat", (n, FLAT_FEATURES))
-        avgpool2d_forward(sig2, out=flat.reshape(n, 16, 5, 5))
+    sig1 = conv2d_forward(x, p["conv1.kernel"].value, p["conv1.bias"].value,
+                          workspace=ws, out=take("sig1", (6, 28, 28, n)))
+    sigmoid_forward(sig1, out=sig1)
+    pool1 = avgpool2d_forward(sig1, out=take("pool1", (6, 14, 14, n)).transpose(3, 0, 1, 2))
+    sig2 = conv2d_forward(pool1, p["conv2.kernel"].value, p["conv2.bias"].value,
+                          workspace=ws, out=take("sig2", (16, 10, 10, n)))
+    sigmoid_forward(sig2, out=sig2)
+    flat = take("flat", (FLAT_FEATURES, n)).T
+    avgpool2d_forward(sig2, out=flat.T.reshape(16, 5, 5, n).transpose(3, 0, 1, 2))
     sig3 = sigmoid_forward(dense_forward(flat, p["fc1.weight"].value,
                                          p["fc1.bias"].value))
     sig4 = sigmoid_forward(dense_forward(sig3, p["fc2.weight"].value,
@@ -496,7 +490,6 @@ def model_backward(model: LeNetModel, trace: ForwardTrace | None,
     dsig1 = avgpool2d_backward(trace.sig1.shape, dpool1)
     dconv1 = sigmoid_backward(trace.sig1, dsig1)
     kernel = p["conv1.kernel"].value  # conv1 needs no dx; its columns are rebuilt
-    _, dk, db = _param_grads(_columns(trace.x, *kernel.shape[2:], ws), kernel,
-                             dconv1, ws)
+    _, dk, db = _param_grads(_columns(trace.x, *kernel.shape[2:], ws), kernel, dconv1)
     p["conv1.kernel"].grad[...] = dk
     p["conv1.bias"].grad[...] = db

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import central_diff, rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lenetkit.errors import InvalidConfig, InvalidLabel
 from lenetkit.loss import (
@@ -170,3 +174,32 @@ class TestInverseFrequencyAlpha:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidConfig):
             inverse_frequency_alpha([3, 0, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_extreme_logits_warn_not_and_give_no_finite_loss_with_a_non_finite_gradient(data):
+    # each row holds at least one of +-inf and +-1e308
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5))
+    extreme = st.sampled_from([np.inf, -np.inf, 1e308, -1e308])
+    logits = data.draw(hnp.arrays(np.float64, (n, k),
+                                  elements=extreme | st.floats(-50.0, 50.0)))
+    logits[np.arange(n), data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))] = \
+        data.draw(hnp.arrays(np.float64, n, elements=extreme))
+    targets = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    alpha = data.draw(st.none() | hnp.arrays(np.float64, k, elements=st.floats(0.1, 10.0)))
+    cfg = FocalConfig(gamma=data.draw(st.floats(0.0, 5.0)), alpha=alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = cross_entropy(logits, targets), focal_loss(logits, targets, cfg)
+    for out in outs:
+        assert not np.isfinite(out.mean_loss) or np.isfinite(out.dlogits).all()
+
+
+def test_focal_at_a_target_logit_of_minus_inf_matches_cross_entropy():
+    logits = np.array([[-np.inf, 0.0, 0.0]])
+    fl = focal_loss(logits, [0], FocalConfig(gamma=2.0))
+    ce = cross_entropy(logits, [0])
+    assert fl.mean_loss == ce.mean_loss == np.inf
+    np.testing.assert_array_equal(fl.dlogits, [[-1.0, 0.5, 0.5]])
+    np.testing.assert_array_equal(ce.dlogits, [[-1.0, 0.5, 0.5]])

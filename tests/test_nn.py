@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lenetkit import nn
 from lenetkit.data import Dataset, Sample
 from lenetkit.errors import InvalidShape, InvalidState
 from lenetkit.nn import (
-    CONV_BLOCK,
+    COLUMN_BYTES,
     LeNetModel,
     Workspace,
     avgpool2d_backward,
@@ -78,25 +79,28 @@ class TestConvForward:
         with pytest.raises(InvalidShape):
             conv2d_forward(np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 4, 4)), np.zeros(1))
 
-    # n images -> the largest block: blocks of CONV_BLOCK = 8, a last one
-    # shorter than 4 merged with half of the one before
-    @pytest.mark.parametrize("n, largest", [(1, 1), (3, 3), (8, 8), (9, 5), (11, 7), (12, 8)])
-    def test_blocked_into_out_equals_the_plain_call(self, n, largest):
+    # n images, `rows` output rows per block: x's 12 output rows fall into
+    # blocks of `rows`, the last one shorter where rows does not divide 12
+    @pytest.mark.parametrize("n, rows", [(1, 1), (3, 3), (8, 8), (9, 5), (11, 7), (12, 8)])
+    def test_blocked_into_out_equals_the_plain_call(self, n, rows, monkeypatch):
         rng = np.random.default_rng(n)
-        x, k, b = rng.normal(size=(n, 2, 6, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
-        ws, out = Workspace(), np.full((3, n, 4, 5), np.nan)
+        x, k, b = rng.normal(size=(n, 2, 14, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+        plain = conv2d_forward(x, k, b)  # all 12 rows of columns fit in one block
+        monkeypatch.setattr(nn, "COLUMN_BYTES", 8 * 2 * 3 * 3 * rows * 5 * n)
+        ws, out = Workspace(), np.full((3, 12, 5, n), np.nan)
         got = conv2d_forward(x, k, b, workspace=ws, out=out)
         # equal values; the last bit may differ where a block's GEMM rounds
         # unlike the whole one's (LeNet's own shapes are checked bit for bit)
-        np.testing.assert_allclose(got, conv2d_forward(x, k, b), rtol=1e-13, atol=1e-13)
-        assert got.base is out and ws.holds is None
-        assert ws.buffers["cols"].size == 2 * 3 * 3 * largest * 4 * 5
+        np.testing.assert_allclose(got, plain, rtol=1e-13, atol=1e-13)
+        assert got.base is out and out.flags.c_contiguous
+        assert ws.buffers["cols"].size == 2 * 3 * 3 * rows * 5 * n
+        assert ws.holds[3:] == (12 - (12 % rows or rows), 12)  # the last block's
 
-    @pytest.mark.parametrize("out", [np.zeros((3, 2, 4, 6)), np.zeros((2, 3, 4, 5)),
-                                     np.zeros((3, 2, 4)),
-                                     np.zeros((2, 3, 4, 5)).transpose(1, 0, 2, 3)])
+    @pytest.mark.parametrize("out", [np.zeros((3, 2, 4, 5)), np.zeros((2, 3, 4, 5)),
+                                     np.zeros((3, 4, 5)),
+                                     np.zeros((2, 3, 4, 5)).transpose(1, 2, 3, 0)])
     def test_out_of_the_wrong_shape_or_layout_raises(self, out):
-        x, k = np.zeros((2, 2, 6, 7)), np.zeros((3, 2, 3, 3))  # out must be [3,2,4,5], C order
+        x, k = np.zeros((2, 2, 6, 7)), np.zeros((3, 2, 3, 3))  # out must be [3,4,5,2], C order
         with pytest.raises(InvalidShape):
             conv2d_forward(x, k, np.zeros(3), out=out)
 
@@ -374,16 +378,48 @@ class TestForwardOnly:
             (3, 6, 28, 28), (3, 6, 14, 14), (3, 16, 10, 10), (3, 400)]
         for name in ("sig1", "pool1", "sig2", "flat"):  # each in its own role's buffer
             assert np.shares_memory(getattr(trace, name), model.workspace.buffers[name]), name
-        for name in ("sig1", "pool1", "sig2"):
-            assert getattr(trace, name).transpose(1, 0, 2, 3).flags.c_contiguous, name
+        for name in ("sig1", "pool1", "sig2"):  # [C,H,W,N] memory, the batch innermost
+            assert getattr(trace, name).transpose(1, 2, 3, 0).flags.c_contiguous, name
+        assert trace.flat.T.flags.c_contiguous
 
     def test_evaluate_holds_at_most_one_conv1_block_of_columns(self):
         rng = np.random.default_rng(32)
         samples = [Sample(rng.uniform(0, 1, (1, 32, 32)), i % 3, f"s{i}") for i in range(64)]
         model = init_params(9)
         evaluate(model, Dataset(samples, ["a", "b", "c"], "test"))
-        assert model.workspace.buffers["cols"].size <= 25 * CONV_BLOCK * 28 * 28
-        assert model.workspace.holds is None
+        assert model.workspace.buffers["cols"].nbytes <= COLUMN_BYTES
+
+
+def _layouts(a, perm):
+    """a's values held C-contiguous, batch-innermost and in axis order perm."""
+    return [np.ascontiguousarray(a),
+            np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
+            np.ascontiguousarray(a.transpose(perm)).transpose(np.argsort(perm))]
+
+
+# N from 1 to 70 crosses every change in the number of row blocks of conv1's
+# columns (one up to N = 6, then 2 to 14) and of conv2's (one up to N = 8)
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 70), perm=st.permutations(range(4)), seed=st.integers(0, 2**32 - 1))
+def test_layers_return_the_same_bits_in_every_layout(n, perm, seed):
+    rng = np.random.default_rng(seed)
+    model = init_params(seed)
+    k1, k2 = model["conv1.kernel"].value, model["conv2.kernel"].value
+    b1, b2 = rng.normal(size=6), rng.normal(size=16)
+    x, pool1 = rng.uniform(0, 1, (n, 1, 32, 32)), rng.uniform(0, 1, (n, 6, 14, 14))
+    dout1, dout2 = rng.normal(size=(n, 6, 28, 28)), rng.normal(size=(n, 16, 10, 10))
+    results = []
+    for xl, pl, d1, d2 in zip(*(_layouts(a, perm) for a in (x, pool1, dout1, dout2))):
+        got = [conv2d_forward(xl, k1, b1), *conv2d_backward(xl, k1, d1),
+               conv2d_forward(pl, k2, b2), *conv2d_backward(pl, k2, d2),
+               avgpool2d_forward(d1), avgpool2d_backward(d1.shape, pl),
+               sigmoid_forward(d1), sigmoid_backward(pl, pl)]
+        _, traced = model_forward(model, xl)
+        _, forward_only = model_forward(model, xl, for_backward=False)
+        for name in ("sig1", "pool1", "sig2", "flat", "sig3", "sig4", "logits", "probs"):
+            assert getattr(forward_only, name).tobytes() == getattr(traced, name).tobytes(), name
+        results.append([a.tobytes() for a in got] + [traced.probs.tobytes()])
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 class TestModelBackward:
@@ -522,7 +558,7 @@ class TestWorkspace:
         model = init_params(8)
         _train_step(model, rng.uniform(0, 1, (4, 1, 32, 32)), rng.normal(size=(4, 3)))
         first = dict(model.workspace.buffers)
-        assert set(first) == {"cols", "dout_t", "dx"}
+        assert set(first) == {"cols", "dx"}
         _train_step(model, rng.uniform(0, 1, (4, 1, 32, 32)), rng.normal(size=(4, 3)))
         for role, buffer in first.items():
             assert np.shares_memory(model.workspace.buffers[role], buffer), role
