@@ -38,11 +38,14 @@ those bytes; a truncated or tampered file never yields a partial model.
 
 Run metadata that is not part of the binary contract (class names, the
 training config echo, the final epoch record) travels in an optional JSON
-sidecar ``<path>.json``. Every run artifact (this pair, the curves, the
-metrics, the config echo) is written by ``write_atomic``: to temporary files
-beside the targets, renamed into place once all are written, so a failed
-write leaves the previous files whole. The same call removes a stale
-companion, such as the sidecar of a checkpoint saved without metadata.
+sidecar ``<path>.json``, which names its binary's CRC as ``crc64`` (16 hex
+digits), so a sidecar beside another binary is corrupt. A sidecar without
+that field, as older versions wrote it, is not checked against its binary.
+Every run artifact (this pair, the curves, the metrics, the config echo) is
+written by ``write_atomic``: to temporary files beside the targets, renamed
+into place once all are written, so a failed write leaves the previous
+files whole. The same call removes a stale companion, such as the sidecar
+of a checkpoint saved without metadata.
 """
 
 from __future__ import annotations
@@ -266,9 +269,12 @@ def checkpoint_files(path: str | Path, ckpt: Checkpoint) -> dict[Path, bytes | N
         buf += struct.pack(f"<I{len(encoded)}sI{value.ndim}I", len(encoded), encoded,
                            value.ndim, *value.shape)
         buf += np.ascontiguousarray(value, dtype="<f8").tobytes()
-    buf += struct.pack("<Q", crc64(buf))
+    crc = crc64(buf)
+    buf += struct.pack("<Q", crc)
     meta = {key: value for key in ("class_names", "train_config", "final_record")
             if (value := getattr(ckpt, key)) is not None}
+    if meta:
+        meta["crc64"] = f"{crc:016x}"
     return {path: buf, _sidecar_path(path): json_bytes(meta) if meta else None}
 
 
@@ -287,7 +293,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"checkpoint {path} has bad magic {raw[:4]!r}, expected {MAGIC!r}"
         )
     body = memoryview(raw)[:len(raw) - 8]
-    if not _crc_matches(body, struct.unpack_from("<Q", raw, len(body))[0]):
+    stored = struct.unpack_from("<Q", raw, len(body))[0]
+    if not _crc_matches(body, stored):
         raise CorruptCheckpoint(f"checkpoint {path} failed CRC verification")
 
     _, version, num_classes, param_count = _HEADER.unpack_from(body)
@@ -330,6 +337,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     sidecar = _sidecar_path(path)
     if sidecar.is_file():
         meta = read_json(sidecar, CorruptCheckpoint)
+        if "crc64" in meta and meta["crc64"] != f"{stored:016x}":
+            raise CorruptCheckpoint(f"checkpoint sidecar {sidecar} names crc64"
+                                    f" {meta['crc64']!r}, not the {stored:016x} of {path}")
         names = meta.get("class_names")
         if names is not None and (not isinstance(names, list) or len(names) != num_classes
                                   or not all(isinstance(n, str) for n in names)):

@@ -59,13 +59,14 @@ CONFIG_SCHEMA = {
     "max_rotation_deg": (15.0, float),
     "max_shift_px": (2, int),
     "fill_value": (0.0, float),
-    "threads": (1, int),
     "positive_classes": (None, list[str | int]),  # override for the binarized metric mode
     "data_root": (None, str),
     "out_dir": (None, str),
 }
-# a sidecar's train_config also holds the focal weights the run resolved
-_SIDECAR_SCHEMA = {**CONFIG_SCHEMA, "alpha_resolved": (None, list[float])}
+# a sidecar's train_config also carries the focal weights the run resolved, and
+# sidecars written before the threads knob was retired carry "threads": 1
+_SIDECAR_SCHEMA = {**CONFIG_SCHEMA, "alpha_resolved": (None, list[float]),
+                   "threads": (1, int)}
 
 
 def _has_type(value, kind) -> bool:
@@ -124,9 +125,6 @@ def _focal_config(gamma, alpha, num_classes: int) -> loss_mod.FocalConfig:
 
 
 def _build_train_config(cfg: dict, train_set: data_mod.Dataset) -> train_mod.TrainConfig:
-    if cfg["threads"] != 1:
-        raise InvalidConfig(
-            f"threads must be 1 (the engine is single-threaded), got {cfg['threads']!r}")
     focal = _focal_config(cfg["gamma"], _resolve_alpha(cfg["alpha"], train_set),
                           len(train_set.class_names))
     # validate augmentation fields up front even when augmentation is off
@@ -277,7 +275,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = ckpt_mod.checkpoint_to_model(ckpt)
     pixels = data_mod.load_image(args.image)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is caught below
-        probs, _ = model_forward(model, pixels[None, :, :, :], for_backward=False)
+        probs, _ = model_forward(model, pixels[None, :, :, :])
     probs = probs[0]
     if not np.isfinite(probs).all():
         raise CorruptCheckpoint(f"checkpoint {args.checkpoint} gives non-finite"
@@ -330,7 +328,6 @@ def _add_shared_flags(p: argparse.ArgumentParser):
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--lr", type=float, dest="learning_rate", help="learning rate")
     p.add_argument("--batch-size", type=int, dest="batch_size", help="batch size")
-    p.add_argument("--threads", type=int, help="must be 1 (single-threaded engine)")
     p.add_argument("--augment", action="store_const", const=True, default=None,
                    help="enable training-time augmentation")
 

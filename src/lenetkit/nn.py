@@ -26,23 +26,17 @@ A forward builds its columns in blocks of output rows, at most COLUMN_BYTES
 straight into its output. A model owns a ``Workspace`` of grow-only scratch
 buffers that these GEMMs reuse across calls: one column buffer that conv1 and
 conv2 share (so at most one column matrix is alive) and conv2's input-gradient
-accumulator. The workspace records whose columns the buffer holds: a backward
-reuses the columns its forward left there when one block held them all, and
-builds any others from its input, so any unconsumed trace backpropagates
-exactly. A traced forward's activations, the probabilities and the gradients
-are fresh arrays; the elementwise backward layers make one output-sized array
-each and work in it in place.
-
-A forward-only pass (``model_forward(..., for_backward=False)``, which
-``evaluate`` and ``predict`` run) is the same code with its activations in
-workspace buffers, so its bits are the traced pass's. No backward can read
-its trace.
+accumulator. A backward builds its columns again from the trace's inputs, so
+any unconsumed trace backpropagates exactly. Every forward's activations, the
+probabilities and the gradients are fresh arrays; the elementwise backward
+layers make one output-sized array each and work in it in place. Training,
+``evaluate`` and ``predict`` all run this one forward.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,14 +88,10 @@ class Workspace:
 
     ``take`` hands out a prefix of the role's buffer, so conv1 and conv2 share
     one column buffer and a small batch reuses a larger one's memory. Roles:
-    "cols" and "dx" for the convs, and "sig1", "pool1", "sig2" and "flat" for
-    a forward-only pass's activations, each in batch-innermost order.
-    ``holds`` is the (x, kh, kw, start, stop) whose columns for output rows
-    start to stop the column buffer holds, or None.
+    "cols" for the convs' column matrices and "dx" for conv2's input gradient.
     """
 
     def __init__(self):
-        self.holds = None
         self.buffers: dict[str, np.ndarray] = {}
 
     def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -176,20 +166,17 @@ def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace,
     """im2col of output rows start to stop (all by default) into the
     workspace's column buffer: cols[C*kh*kw, R*Wo*N] with R = stop - start.
 
-    Row (c,u,v), column (i,j,n) holds x[n,c,start+i+u,j+v]. The copy reads
+    Row (c,u,v), column (i,j,n) is x[n,c,start+i+u,j+v]. The copy reads
     x's sliding windows as a strided view [C,kh,kw,R,Wo,N]; for a
     batch-innermost x it runs along (j, n), Wo*N contiguous values at a time.
-    It is skipped when the buffer's record says it holds these columns already.
     """
     n, c, h, w = x.shape
     ho, wo = h - kh + 1, w - kw + 1
     stop = ho if stop is None else stop
     cols = ws.take("cols", (c, kh, kw, stop - start, wo, n))
-    if ws.holds is None or ws.holds[0] is not x or ws.holds[1:] != (kh, kw, start, stop):
-        sn, sc, sh, sw = x.strides
-        np.copyto(cols, np.lib.stride_tricks.as_strided(
-            x[:, :, start:], cols.shape, (sc, sh, sw, sh, sw, sn), writeable=False))
-        ws.holds = (x, kh, kw, start, stop)
+    sn, sc, sh, sw = x.strides
+    np.copyto(cols, np.lib.stride_tricks.as_strided(
+        x[:, :, start:], cols.shape, (sc, sh, sw, sh, sw, sn), writeable=False))
     return cols.reshape(c * kh * kw, (stop - start) * wo * n)
 
 
@@ -219,8 +206,7 @@ def _param_grads(cols: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
-                   workspace: Workspace | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   workspace: Workspace | None = None) -> np.ndarray:
     """Valid cross-correlation.
 
     out[n,o,i,j] = bias[o] + sum_{c,u,v} x[n,c,i+u,j+v] * kernel[o,c,u,v]
@@ -228,24 +214,17 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
     Computed as kernel[O, C*kh*kw] @ cols in ``workspace`` (a fresh one if
     None), one block of output rows at a time: a block has as many rows as
     fit in COLUMN_BYTES of columns, at least one, and its GEMM writes straight
-    into those rows of the output. The columns are always rebuilt: a caller
-    may have refilled x in place since the buffer's record was made.
+    into those rows of the output.
 
     The result is the [N,O,Ho,Wo] view ``out.transpose(3, 0, 1, 2)`` of a
-    C-contiguous batch-innermost [O,Ho,Wo,N] array: ``out`` if given, else a
-    fresh one.
+    fresh C-contiguous batch-innermost [O,Ho,Wo,N] array ``out``.
     """
     n, cin, h, w, cout, kh, kw = _conv_dims(x, kernel)
     if bias.shape != (cout,):
         raise InvalidShape(f"bias shape {bias.shape} != ({cout},)")
     ho, wo = h - kh + 1, w - kw + 1
-    if out is None:
-        out = np.empty((cout, ho, wo, n))
-    elif out.shape != (cout, ho, wo, n) or not out.flags.c_contiguous:
-        raise InvalidShape(f"out must be a C-contiguous {(cout, ho, wo, n)} array,"
-                           f" got {out.shape}")
+    out = np.empty((cout, ho, wo, n))
     ws = Workspace() if workspace is None else workspace
-    ws.holds = None
     k = kernel.reshape(cout, -1)
     rows = max(1, COLUMN_BYTES // max(8 * k.shape[1] * wo * n, 1))
     for start in range(0, ho, rows):
@@ -264,10 +243,8 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
     one GEMM written over the spent columns: window element (i,j,u,v) adds
     back onto x[n,c,i+u,j+v], Wo*N values at a time. dx is summed in the
     workspace's batch-innermost "dx" buffer and returned as its [N,C,H,W]
-    view, which the workspace's next ``conv2d_backward`` overwrites.
-
-    The columns come from ``workspace`` when its record says it holds all of
-    x's for this kernel size; otherwise they are built here.
+    view, which the workspace's next ``conv2d_backward`` overwrites. The
+    columns are built here, in the workspace's column buffer.
     """
     n, cin, h, w, cout, kh, kw = _conv_dims(x, kernel)
     ho, wo = h - kh + 1, w - kw + 1
@@ -276,7 +253,6 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
     ws = Workspace() if workspace is None else workspace
     cols = _columns(x, kh, kw, ws)
     dout_mat, dkernel, dbias = _param_grads(cols, kernel, dout)
-    ws.holds = None
     dcols = np.matmul(kernel.reshape(cout, -1).T, dout_mat, out=cols)  # columns are spent
     dcols = dcols.reshape(cin, kh, kw, ho, wo, n)
     dx = ws.take("dx", (cin, h, w, n))
@@ -396,20 +372,16 @@ class ForwardTrace:
     logits: np.ndarray   # [N,K] pre-softmax
     probs: np.ndarray    # [N,K]
     model: LeNetModel    # the model whose forward made this trace
-    consumed: bool = field(default=False)
+    consumed: bool = False
 
 
-def model_forward(model: LeNetModel, x: np.ndarray, *, for_backward: bool = True):
+def model_forward(model: LeNetModel, x: np.ndarray):
     """Run the full stack; returns (probs[N,K], trace).
 
     The input must be exactly [N, 1, 32, 32]; anything else raises rather
-    than cropping or padding.
-
-    With ``for_backward=False`` the pass is forward-only: its activations
-    up to ``flat`` are views of the model's workspace buffers, which its next
-    forward-only pass overwrites, and its trace is born consumed, so
-    ``model_backward`` refuses it. Otherwise it runs the same code as the
-    traced pass, so ``logits`` and ``probs``, fresh arrays, have its bits.
+    than cropping or padding. Every activation is a fresh array, so the
+    trace stays valid for one ``model_backward`` whatever runs in between;
+    a caller that needs only ``probs`` or ``trace.logits`` drops it.
     """
     if x.ndim != 4 or x.shape[1:] != (1, IMAGE_SIZE, IMAGE_SIZE):
         raise InvalidShape(
@@ -421,16 +393,13 @@ def model_forward(model: LeNetModel, x: np.ndarray, *, for_backward: bool = True
     n = x.shape[0]
     p = model.params
     ws = model.workspace
-    take = ws.take if not for_backward else (lambda role, shape: np.empty(shape))
 
-    sig1 = conv2d_forward(x, p["conv1.kernel"].value, p["conv1.bias"].value,
-                          workspace=ws, out=take("sig1", (6, 28, 28, n)))
+    sig1 = conv2d_forward(x, p["conv1.kernel"].value, p["conv1.bias"].value, workspace=ws)
     sigmoid_forward(sig1, out=sig1)
-    pool1 = avgpool2d_forward(sig1, out=take("pool1", (6, 14, 14, n)).transpose(3, 0, 1, 2))
-    sig2 = conv2d_forward(pool1, p["conv2.kernel"].value, p["conv2.bias"].value,
-                          workspace=ws, out=take("sig2", (16, 10, 10, n)))
+    pool1 = avgpool2d_forward(sig1, out=np.empty((6, 14, 14, n)).transpose(3, 0, 1, 2))
+    sig2 = conv2d_forward(pool1, p["conv2.kernel"].value, p["conv2.bias"].value, workspace=ws)
     sigmoid_forward(sig2, out=sig2)
-    flat = take("flat", (FLAT_FEATURES, n)).T
+    flat = np.empty((FLAT_FEATURES, n)).T
     avgpool2d_forward(sig2, out=flat.T.reshape(16, 5, 5, n).transpose(3, 0, 1, 2))
     sig3 = sigmoid_forward(dense_forward(flat, p["fc1.weight"].value,
                                          p["fc1.bias"].value))
@@ -441,7 +410,7 @@ def model_forward(model: LeNetModel, x: np.ndarray, *, for_backward: bool = True
 
     trace = ForwardTrace(x=x, sig1=sig1, pool1=pool1, sig2=sig2, flat=flat,
                          sig3=sig3, sig4=sig4, logits=logits, probs=probs,
-                         model=model, consumed=not for_backward)
+                         model=model)
     return probs, trace
 
 

@@ -101,9 +101,9 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
 
     Batches are taken in fixed index order with a fixed batch size, so the
     reduced loss is bitwise reproducible. The parameters are never mutated.
-    Each chunk, stacked batch-innermost, runs a forward-only ``model_forward``:
-    its activations and column blocks reuse the model's workspace buffers from
-    chunk to chunk, and its logits have the bits a traced forward would give.
+    Each chunk, stacked batch-innermost, runs the same ``model_forward`` as a
+    training step, whose trace is dropped unconsumed; its column blocks reuse
+    the model's workspace buffer from chunk to chunk.
     """
     samples = dataset.samples
     if not samples:
@@ -114,7 +114,7 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start:start + EVAL_BATCH]
         x = np.stack([s.pixels for s in chunk], axis=-1).transpose(3, 0, 1, 2)
-        probs, trace = model_forward(model, x, for_backward=False)
+        probs, trace = model_forward(model, x)
         out = _compute_loss(trace.logits, labels[start:start + len(chunk)],
                             loss_kind, focal_cfg)
         loss_sum += float(out.per_sample.sum())

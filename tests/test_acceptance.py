@@ -376,7 +376,7 @@ def test_cli_train_determinism(tmp_path):
             code = cli.main(["train", "--data", str(root),
                              "--out", str(tmp_path / run),
                              "--epochs", "5", "--batch-size", "6",
-                             "--seed", "42", "--threads", "1"])
+                             "--seed", "42"])
             assert code == 0
         for name in ("curves.csv", "checkpoint.lnck"):
             a = (tmp_path / "r1" / name).read_bytes()

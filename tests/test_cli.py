@@ -98,8 +98,8 @@ class TestTrainCommand:
         assert len(rows) == 1 + 3  # header + one row per epoch
 
     def test_byte_identical_reruns(self, synth_root, tmp_path):
-        run_train(synth_root, tmp_path / "r1", ("--threads", "1"))
-        run_train(synth_root, tmp_path / "r2", ("--threads", "1"))
+        run_train(synth_root, tmp_path / "r1")
+        run_train(synth_root, tmp_path / "r2")
         for name in ("curves.csv", "checkpoint.lnck"):
             assert (tmp_path / "r1" / name).read_bytes() == \
                    (tmp_path / "r2" / name).read_bytes(), name
@@ -408,6 +408,65 @@ class TestEvaluateCommand:
         assert "gamma" in capsys.readouterr().err
 
 
+def _run_on(command, checkpoint, root):
+    image = next((root / "train" / "0_horizontal").glob("*.pgm"))
+    target = ["--data", str(root)] if command == "evaluate" else ["--image", str(image)]
+    return cli.main([command, "--checkpoint", str(checkpoint), *target])
+
+
+class TestSidecarBinding:
+    """A sidecar names its binary's CRC, so a pair that disagrees is corrupt."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_another_runs_sidecar_beside_the_binary_exits_2(self, synth_root, tmp_path,
+                                                              capsys, command):
+        # run A: cross-entropy, 1 epoch, seed 1; run B: focal, 2 epochs, seed 9
+        for run, extra in (("a", ["--epochs", "1", "--seed", "1"]),
+                           ("b", ["--loss", "focal", "--epochs", "2", "--seed", "9"])):
+            assert cli.main(["train", "--data", str(synth_root), "--out", str(tmp_path / run),
+                             "--batch-size", "4", *extra]) == 0
+        b, sidecar_b = tmp_path / "b" / "checkpoint.lnck", tmp_path / "b" / "checkpoint.lnck.json"
+        sidecar_b.write_bytes((tmp_path / "a" / "checkpoint.lnck.json").read_bytes())
+        capsys.readouterr()
+        assert _run_on(command, b, synth_root) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert len(captured.err.splitlines()) == 1
+        assert str(sidecar_b) in captured.err and f"of {b}" in captured.err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_one_bit_changed_in_the_field_exits_2(self, synth_root, tmp_path, capsys,
+                                                  command):
+        out = tmp_path / "run"
+        run_train(synth_root, out)
+        meta_path = out / "checkpoint.lnck.json"
+        meta = json.loads(meta_path.read_text())
+        crc = int(meta["crc64"], 16)
+        assert meta["crc64"] == f"{crc:016x}"  # 16 lowercase hex digits
+        meta_path.write_text(json.dumps({**meta, "crc64": f"{crc ^ 1 << 37:016x}"}))
+        capsys.readouterr()
+        assert _run_on(command, out / "checkpoint.lnck", synth_root) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "crc64" in captured.err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_an_older_sidecar_still_loads(self, synth_root, tmp_path, capsys, command):
+        """Sidecars written before the field have no crc64 and may hold "threads": 1."""
+        out = tmp_path / "run"
+        run_train(synth_root, out)
+        capsys.readouterr()
+        assert _run_on(command, out / "checkpoint.lnck", synth_root) == 0
+        want = capsys.readouterr().out
+        meta_path = out / "checkpoint.lnck.json"
+        meta = json.loads(meta_path.read_text())
+        assert "threads" not in meta["train_config"]
+        del meta["crc64"]
+        meta["train_config"]["threads"] = 1
+        meta_path.write_text(json.dumps(meta))
+        assert _run_on(command, out / "checkpoint.lnck", synth_root) == 0
+        assert capsys.readouterr().out == want
+
+
 class TestPredictCommand:
     def test_output_structure(self, synth_root, tmp_path, capsys):
         out = tmp_path / "run"
@@ -452,8 +511,7 @@ class TestPredictCommand:
         model = init_params(1)
         path = tmp_path / "m.lnck"
         save_checkpoint(path, model_to_checkpoint(model))
-        batch, _ = model_forward(model, np.stack([s.pixels for s in samples]),
-                                 for_backward=False)
+        batch, _ = model_forward(model, np.stack([s.pixels for s in samples]))
         for sample, row in zip(samples, batch):
             assert cli.main(["predict", "--checkpoint", str(path),
                              "--image", sample.source_path]) == 0
@@ -683,14 +741,17 @@ class TestUsageErrors:
         capsys.readouterr()
 
     def test_bad_threads_value(self, synth_root, tmp_path, capsys):
+        """The retired threads knob is neither a flag nor a config key."""
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"threads": True}))
-        for extra in (["--threads", "0"], ["--threads", "2"],
-                      ["--config", str(cfg_file)]):
+        cfg_file.write_text(json.dumps({"threads": 1}))
+        for extra in (["--threads", "1"], ["--config", str(cfg_file)]):
             code = cli.main(["train", "--data", str(synth_root),
                              "--out", str(tmp_path / "o"), *extra])
             assert code == 1, extra
-            assert "threads" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, extra
+            assert "threads" in err, extra
+        assert not (tmp_path / "o").exists()
 
 
 def test_seeded_train_bytes_do_not_depend_on_the_blas_environment(tmp_path):
@@ -727,7 +788,7 @@ _JSON = {
     "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 }
 _ACCEPTS = {
-    **dict.fromkeys(["epochs", "batch_size", "seed", "max_shift_px", "threads"], {"int"}),
+    **dict.fromkeys(["epochs", "batch_size", "seed", "max_shift_px"], {"int"}),
     **dict.fromkeys(["learning_rate", "gamma", "hflip_prob", "max_rotation_deg",
                      "fill_value"], {"int", "float"}),
     "shuffle": {"bool"}, "augment": {"bool"}, "loss_kind": {"str"},

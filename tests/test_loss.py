@@ -140,6 +140,8 @@ class TestFocalLoss:
             FocalConfig(gamma=-1.0)
         with pytest.raises(InvalidConfig):
             FocalConfig(alpha=[1.0, -2.0])
+        with pytest.raises(InvalidConfig):  # a class weighted 0 would never be learned
+            FocalConfig(alpha=[1.0, 0.0, 2.0])
         with pytest.raises(InvalidConfig):
             focal_loss(np.zeros((1, 3)), [0], FocalConfig(alpha=[1.0, 1.0]))
 

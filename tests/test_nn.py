@@ -87,22 +87,13 @@ class TestConvForward:
         x, k, b = rng.normal(size=(n, 2, 14, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
         plain = conv2d_forward(x, k, b)  # all 12 rows of columns fit in one block
         monkeypatch.setattr(nn, "COLUMN_BYTES", 8 * 2 * 3 * 3 * rows * 5 * n)
-        ws, out = Workspace(), np.full((3, 12, 5, n), np.nan)
-        got = conv2d_forward(x, k, b, workspace=ws, out=out)
+        ws = Workspace()
+        got = conv2d_forward(x, k, b, workspace=ws)
         # equal values; the last bit may differ where a block's GEMM rounds
         # unlike the whole one's (LeNet's own shapes are checked bit for bit)
         np.testing.assert_allclose(got, plain, rtol=1e-13, atol=1e-13)
-        assert got.base is out and out.flags.c_contiguous
+        assert got.transpose(1, 2, 3, 0).flags.c_contiguous  # [O,Ho,Wo,N] memory
         assert ws.buffers["cols"].size == 2 * 3 * 3 * rows * 5 * n
-        assert ws.holds[3:] == (12 - (12 % rows or rows), 12)  # the last block's
-
-    @pytest.mark.parametrize("out", [np.zeros((3, 2, 4, 5)), np.zeros((2, 3, 4, 5)),
-                                     np.zeros((3, 4, 5)),
-                                     np.zeros((2, 3, 4, 5)).transpose(1, 2, 3, 0)])
-    def test_out_of_the_wrong_shape_or_layout_raises(self, out):
-        x, k = np.zeros((2, 2, 6, 7)), np.zeros((3, 2, 3, 3))  # out must be [3,4,5,2], C order
-        with pytest.raises(InvalidShape):
-            conv2d_forward(x, k, np.zeros(3), out=out)
 
 
 class TestConvBackward:
@@ -335,52 +326,20 @@ class TestModelForward:
         model = init_params(3)
         with pytest.raises(InvalidShape):
             model_forward(model, np.zeros(shape))
-        with pytest.raises(InvalidShape):
-            model_forward(model, np.zeros(shape), for_backward=False)
 
 
 class TestForwardOnly:
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 60, 64])
-    def test_equals_the_traced_forward_bit_for_bit(self, n):
-        model = init_params(9)
-        x = np.random.default_rng(30 + n).uniform(0, 1, (n, 1, 32, 32))
-        _, traced = model_forward(model, x)
-        probs, trace = model_forward(model, x, for_backward=False)
-        assert probs is trace.probs
-        for name in ("sig1", "pool1", "sig2", "flat", "sig3", "sig4", "logits", "probs"):
-            np.testing.assert_array_equal(getattr(trace, name), getattr(traced, name),
-                                          err_msg=name)
-
-    def test_its_trace_is_born_consumed(self):
-        model = init_params(9)
-        _, trace = model_forward(model, np.zeros((2, 1, 32, 32)), for_backward=False)
-        assert trace.consumed
-        with pytest.raises(InvalidState):
-            model_backward(model, trace, np.zeros((2, 3)))
-
-    def test_same_shaped_calls_reuse_the_buffers_and_fresh_outputs(self):
-        rng = np.random.default_rng(31)
-        model = init_params(9)
-        _, first = model_forward(model, rng.uniform(0, 1, (5, 1, 32, 32)), for_backward=False)
-        logits = first.logits.copy()
-        _, second = model_forward(model, rng.uniform(0, 1, (5, 1, 32, 32)),
-                                  for_backward=False)
-        for name in ("sig1", "pool1", "sig2", "flat"):
-            assert np.shares_memory(getattr(first, name), getattr(second, name)), name
-        for name in ("logits", "probs"):
-            assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
-        np.testing.assert_array_equal(first.logits, logits)
+    """The forward that ``evaluate`` and ``predict`` run, and drop the trace of."""
 
     def test_activations_are_channel_major_views_of_the_workspace(self):
         model = init_params(9)
-        _, trace = model_forward(model, np.zeros((3, 1, 32, 32)), for_backward=False)
+        _, trace = model_forward(model, np.zeros((3, 1, 32, 32)))
         assert [getattr(trace, name).shape for name in ("sig1", "pool1", "sig2", "flat")] == [
             (3, 6, 28, 28), (3, 6, 14, 14), (3, 16, 10, 10), (3, 400)]
-        for name in ("sig1", "pool1", "sig2", "flat"):  # each in its own role's buffer
-            assert np.shares_memory(getattr(trace, name), model.workspace.buffers[name]), name
         for name in ("sig1", "pool1", "sig2"):  # [C,H,W,N] memory, the batch innermost
             assert getattr(trace, name).transpose(1, 2, 3, 0).flags.c_contiguous, name
         assert trace.flat.T.flags.c_contiguous
+        assert set(model.workspace.buffers) == {"cols"}  # no activation lives there
 
     def test_evaluate_holds_at_most_one_conv1_block_of_columns(self):
         rng = np.random.default_rng(32)
@@ -415,9 +374,6 @@ def test_layers_return_the_same_bits_in_every_layout(n, perm, seed):
                avgpool2d_forward(d1), avgpool2d_backward(d1.shape, pl),
                sigmoid_forward(d1), sigmoid_backward(pl, pl)]
         _, traced = model_forward(model, xl)
-        _, forward_only = model_forward(model, xl, for_backward=False)
-        for name in ("sig1", "pool1", "sig2", "flat", "sig3", "sig4", "logits", "probs"):
-            assert getattr(forward_only, name).tobytes() == getattr(traced, name).tobytes(), name
         results.append([a.tobytes() for a in got] + [traced.probs.tobytes()])
     assert results[1] == results[0] and results[2] == results[0]
 
@@ -503,7 +459,7 @@ class TestWorkspace:
         model_forward(model, rng.uniform(0, 1, (5, 1, 32, 32)))  # larger buffers first
         _, t1 = model_forward(model, x1)
         _, t2 = model_forward(model, x2)
-        model_forward(model, rng.uniform(0, 1, (64, 1, 32, 32)), for_backward=False)
+        model_forward(model, rng.uniform(0, 1, (64, 1, 32, 32)))
         model_forward(model, rng.uniform(0, 1, (3, 1, 32, 32)))
         for x, trace in ((x1, t1), (x2, t2)):
             model_backward(model, trace, upstream)
@@ -519,7 +475,7 @@ class TestWorkspace:
         b, dout = np.zeros(4), rng.normal(size=(2, 4, 5, 6))
         bare = conv2d_backward(x, k, dout)
         # another input's columns; x's for a transposed kernel of the same size;
-        # x's own, which the first backward reuses and the second finds spent
+        # x's own, then (on the second call) the first backward's spent ones
         for held, kernel, calls in ((other, k, 1), (x, k_t, 1), (x, k, 2)):
             ws = Workspace()
             conv2d_forward(held, kernel, b, workspace=ws)
