@@ -191,9 +191,10 @@ def _crc_matches(body: bytes, stored: int) -> bool:
 
 @dataclass
 class Checkpoint:
+    """Parameters and sidecar metadata; the binary's format is always ``VERSION``."""
+
     num_classes: int
     params: dict[str, np.ndarray]
-    version: int = VERSION
     class_names: list[str] | None = None
     train_config: dict | None = None
     final_record: dict | None = None
@@ -263,7 +264,7 @@ def write_atomic(files: dict[Path, bytes | None]) -> None:
 def checkpoint_files(path: str | Path, ckpt: Checkpoint) -> dict[Path, bytes | None]:
     """The binary's bytes and the sidecar's (``None``, to remove it, without metadata)."""
     path = Path(path)
-    buf = bytearray(_HEADER.pack(MAGIC, ckpt.version, ckpt.num_classes, len(ckpt.params)))
+    buf = bytearray(_HEADER.pack(MAGIC, VERSION, ckpt.num_classes, len(ckpt.params)))
     for name, value in ckpt.params.items():
         encoded = name.encode("utf-8")
         buf += struct.pack(f"<I{len(encoded)}sI{value.ndim}I", len(encoded), encoded,
@@ -333,7 +334,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if pos != len(body):
         raise CorruptCheckpoint("trailing bytes after parameter table")
 
-    ckpt = Checkpoint(num_classes=num_classes, params=params, version=version)
+    ckpt = Checkpoint(num_classes=num_classes, params=params)
     sidecar = _sidecar_path(path)
     if sidecar.is_file():
         meta = read_json(sidecar, CorruptCheckpoint)

@@ -296,7 +296,7 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     if n < 1:
         raise InvalidConfig(f"--n-per-class must be >= 1, got {n}")
     data_mod.gen_synthetic(out / "train", n, args.seed)
-    data_mod.gen_synthetic(out / "validation", math.ceil(n / 5), args.seed + 1)
+    data_mod.gen_synthetic(out / "validation", -(-n // 5), args.seed + 1)
     print(f"wrote synthetic dataset under {out}", file=sys.stderr)
     return EXIT_OK
 

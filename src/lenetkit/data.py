@@ -51,6 +51,7 @@ SYNTH_CLASS_DIRS = ("0_horizontal", "1_vertical", "2_checker")
 # quickly. At 32x32 generation the same patterns train far more slowly.
 SYNTH_IMAGE_SIZE = 12
 SYNTH_NOISE_SIGMA = 16.0  # gray levels
+_SYNTH_BLOCK = 256  # images drawn and written at a time; the bytes do not depend on it
 
 
 @dataclass
@@ -339,13 +340,13 @@ def load_dataset(root_dir: str | Path, split_name: str) -> Dataset:
 # synthetic data
 # ---------------------------------------------------------------------------
 
-def synthetic_pattern(class_index: int, size: int = SYNTH_IMAGE_SIZE) -> np.ndarray:
-    """Clean uint8 base pattern for a synthetic class.
+def synthetic_pattern(class_index: int) -> np.ndarray:
+    """Clean uint8 SYNTH_IMAGE_SIZE-square base pattern for a synthetic class.
 
     0: horizontal stripes (period 8 px), 1: vertical stripes (period 8 px),
     2: checkerboard with 4 px cells.
     """
-    rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    rows, cols = np.indices((SYNTH_IMAGE_SIZE, SYNTH_IMAGE_SIZE))
     if class_index == 0:
         on = (rows // 4) % 2 == 0
     elif class_index == 1:
@@ -372,9 +373,11 @@ def gen_synthetic(out_dir: str | Path, n_per_class: int, seed: int) -> None:
             class_dir = out / dirname
             class_dir.mkdir(parents=True, exist_ok=True)
             base = synthetic_pattern(class_index).astype(np.float64)
-            noise = rng.normal(0.0, SYNTH_NOISE_SIGMA, size=(n_per_class, *base.shape))
-            images = np.clip(np.rint(base + noise), 0, 255).astype(np.uint8)
-            for i, img in enumerate(images):
-                (class_dir / f"{i:04d}.pgm").write_bytes(encode_pgm(img))
+            for start in range(0, n_per_class, _SYNTH_BLOCK):
+                size = (min(_SYNTH_BLOCK, n_per_class - start), *base.shape)
+                noise = rng.normal(0.0, SYNTH_NOISE_SIGMA, size=size)
+                images = np.clip(np.rint(base + noise), 0, 255).astype(np.uint8)
+                for i, img in enumerate(images, start):
+                    (class_dir / f"{i:04d}.pgm").write_bytes(encode_pgm(img))
     except OSError as exc:
         raise IoError(f"cannot write synthetic data under {out}: {exc}") from exc

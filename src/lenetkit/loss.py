@@ -118,10 +118,9 @@ def focal_loss(logits: np.ndarray, targets, cfg: FocalConfig) -> LossOutput:
 
     per_sample = -alpha_t * focus * log_pt
 
-    # (1-p_t)^(gamma-1) diverges at p_t=1 for gamma<1, but the true limit of
-    # the whole term is 0 there, since ln(p_t) -> 0; mask it explicitly.
+    # (1-p_t)^(gamma-1) diverges at p_t=1 for gamma<1, so its base is 1 there;
+    # the whole term is 0 either way, since p_t == 1 only where ln(p_t) == 0
     pow_gm1 = np.where(one_minus > 0.0, one_minus, 1.0) ** (gamma - 1.0)
-    pow_gm1 = np.where(one_minus > 0.0, pow_gm1, 0.0)
     # likewise p_t * ln(p_t) -> 0 as p_t -> 0, where ln(p_t) may be -inf
     spread = np.multiply(gamma * pow_gm1 * pt, log_pt, out=np.zeros(n), where=pt > 0.0)
     g = alpha_t * (spread - focus)

@@ -14,7 +14,7 @@ written as, and ``metrics_json`` builds the whole ``metrics.json`` payload
 
 Counting is exact integer arithmetic until the final division. A metric
 with a zero denominator is *undefined* and reported as ``None`` (JSON
-null), never as 0 or 1.
+null), never as 0 or 1; ``_ratio`` is that one rule.
 """
 
 from __future__ import annotations
@@ -79,35 +79,31 @@ def binarize(cm: ConfusionMatrix, positive_classes) -> BinaryCounts:
         raise InvalidPartition(
             "positive classes must be a non-empty proper subset"
         )
-    mask = np.zeros(cm.k, dtype=bool)
-    mask[pos] = True
-    c = cm.counts
-    tp = int(c[np.ix_(mask, mask)].sum())
-    fn = int(c[np.ix_(mask, ~mask)].sum())
-    fp = int(c[np.ix_(~mask, mask)].sum())
-    tn = int(c[np.ix_(~mask, ~mask)].sum())
+    side = np.zeros((2, cm.k), dtype=np.int64)  # row 0 positive, row 1 negative
+    side[0, pos] = 1
+    side[1] = 1 - side[0]
+    (tp, fn), (fp, tn) = (side @ cm.counts @ side.T).tolist()
     return BinaryCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+
+
+def _ratio(part: float, whole: int) -> float | None:
+    """part / whole, or None (undefined) when whole is 0."""
+    return None if whole == 0 else part / whole
 
 
 def accuracy(bc: BinaryCounts) -> float | None:
     """(TP + TN) / total; None on an empty tally."""
-    if bc.total == 0:
-        return None
-    return (bc.tp + bc.tn) / bc.total
+    return _ratio(bc.tp + bc.tn, bc.total)
 
 
 def sensitivity(bc: BinaryCounts) -> float | None:
     """TP / (TP + FN); None when there are no actual positives."""
-    if bc.tp + bc.fn == 0:
-        return None
-    return bc.tp / (bc.tp + bc.fn)
+    return _ratio(bc.tp, bc.tp + bc.fn)
 
 
 def specificity(bc: BinaryCounts) -> float | None:
     """TN / (TN + FP); None when there are no actual negatives."""
-    if bc.tn + bc.fp == 0:
-        return None
-    return bc.tn / (bc.tn + bc.fp)
+    return _ratio(bc.tn, bc.tn + bc.fp)
 
 
 def binarized_report(cm: ConfusionMatrix, positive_classes) -> dict:
@@ -126,7 +122,6 @@ def macro_report(cm: ConfusionMatrix) -> dict:
     """
     if cm.k < 2:
         raise InvalidPartition("macro report needs at least 2 classes")
-    total = cm.total
     per_class = []
     for c in range(cm.k):
         bc = binarize(cm, [c])
@@ -139,9 +134,9 @@ def macro_report(cm: ConfusionMatrix) -> dict:
     sens = [row["sensitivity"] for row in per_class if row["sensitivity"] is not None]
     spec = [row["specificity"] for row in per_class if row["specificity"] is not None]
     return {"mode": "macro_ovr",
-            "accuracy": None if total == 0 else int(np.trace(cm.counts)) / total,
-            "sensitivity": sum(sens) / len(sens) if sens else None,
-            "specificity": sum(spec) / len(spec) if spec else None,
+            "accuracy": _ratio(int(np.trace(cm.counts)), cm.total),
+            "sensitivity": _ratio(sum(sens), len(sens)),
+            "specificity": _ratio(sum(spec), len(spec)),
             "confusion": cm.counts.tolist(), "per_class": per_class}
 
 
@@ -164,7 +159,7 @@ def metrics_json(split: str, mean_loss: float, cm: ConfusionMatrix,
     for row in macro["per_class"]:
         row["class_name"] = class_names[row["class_index"]]
     binarized = binarized_report(cm, positive_classes)
-    binarized["positive_classes"] = sorted(positive_classes)
+    binarized["positive_classes"] = sorted(set(positive_classes))
     return {"split": split, "num_samples": cm.total, "class_names": class_names,
             "loss": mean_loss, "accuracy": macro["accuracy"],
             "reports": {"binarized_nodule": binarized, "macro_ovr": macro,

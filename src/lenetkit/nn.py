@@ -360,6 +360,8 @@ class ForwardTrace:
     time: a second backward from the same trace, or a backward of another
     model, raises ``InvalidState``. The fields up to ``sig2`` are [N,C,H,W]
     views of batch-innermost arrays, and ``flat`` is the [N,400] view of one.
+    The probabilities are not a field: backward needs only the logits, and
+    ``model_forward`` returns them beside the trace.
     """
 
     x: np.ndarray        # [N,1,32,32] model input
@@ -370,7 +372,6 @@ class ForwardTrace:
     sig3: np.ndarray     # [N,120]
     sig4: np.ndarray     # [N,84]
     logits: np.ndarray   # [N,K] pre-softmax
-    probs: np.ndarray    # [N,K]
     model: LeNetModel    # the model whose forward made this trace
     consumed: bool = False
 
@@ -409,8 +410,7 @@ def model_forward(model: LeNetModel, x: np.ndarray):
     probs = softmax(logits)
 
     trace = ForwardTrace(x=x, sig1=sig1, pool1=pool1, sig2=sig2, flat=flat,
-                         sig3=sig3, sig4=sig4, logits=logits, probs=probs,
-                         model=model)
+                         sig3=sig3, sig4=sig4, logits=logits, model=model)
     return probs, trace
 
 

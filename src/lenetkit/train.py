@@ -91,7 +91,8 @@ def _compute_loss(logits, targets, loss_kind, focal_cfg):
 
 
 def _stack_pixels(samples) -> np.ndarray:
-    return np.stack([s.pixels for s in samples], axis=0)
+    """The samples' pixels as the [N,1,32,32] view of a batch-innermost array."""
+    return np.stack([s.pixels for s in samples], axis=-1).transpose(3, 0, 1, 2)
 
 
 def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
@@ -113,8 +114,7 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
     preds = np.empty(len(samples), dtype=np.int64)
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start:start + EVAL_BATCH]
-        x = np.stack([s.pixels for s in chunk], axis=-1).transpose(3, 0, 1, 2)
-        probs, trace = model_forward(model, x)
+        probs, trace = model_forward(model, _stack_pixels(chunk))
         out = _compute_loss(trace.logits, labels[start:start + len(chunk)],
                             loss_kind, focal_cfg)
         loss_sum += float(out.per_sample.sum())

@@ -162,7 +162,7 @@ class TestRoundTrip:
         save_checkpoint(path, model_to_checkpoint(model))
         loaded = load_checkpoint(path)
         assert loaded.num_classes == 3
-        assert loaded.version == 1
+        assert path.read_bytes()[4:8] == struct.pack("<I", 1)  # the format version
         for p in model.param_list():
             assert loaded.params[p.name].tobytes() == p.value.tobytes()
 

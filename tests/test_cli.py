@@ -85,6 +85,25 @@ class TestGenSynthetic:
         ds = load_dataset(synth_root, "train")
         assert ds.class_counts() == [4, 4, 4]
 
+    def test_too_many_images_for_one_draw_exits_2_on_a_failed_write(
+            self, tmp_path, monkeypatch, capsys):
+        """The images are drawn in blocks, so a count past any one array's limit
+        writes until the disk fails, and that failure is one line."""
+        write_bytes, calls = Path.write_bytes, []
+
+        def fail_on_third_call(self, data):
+            calls.append(self)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fail_on_third_call)
+        assert cli.main(["gen-synthetic", "--out", str(tmp_path / "d"),
+                         "--n-per-class", str(10**20)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write synthetic data") and len(calls) == 3
+        assert len(err.splitlines()) == 1
+
 
 class TestTrainCommand:
     def test_artifacts_written(self, synth_root, tmp_path):
@@ -398,6 +417,20 @@ class TestEvaluateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
         assert len(captured.err.splitlines()) == 1
+
+    def test_each_positive_class_is_reported_once(self, synth_root, tmp_path, capsys):
+        """A class named twice, by name and by index, is listed once in train's
+        metrics.json and in evaluate's output from the sidecar."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"positive_classes": ["0_horizontal", 0, 1, 1]}))
+        out = tmp_path / "run"
+        assert run_train(synth_root, out, ("--config", str(cfg_file))) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.lnck"),
+                         "--data", str(synth_root)]) == 0
+        for payload in (out / "metrics.json").read_text(), capsys.readouterr().out:
+            report = json.loads(payload)["reports"]["binarized_nodule"]
+            assert report["positive_classes"] == [0, 1]
 
     def test_out_of_range_flag_is_config_error(self, synth_root, tmp_path, capsys):
         out = tmp_path / "run"

@@ -46,6 +46,11 @@ class TestConfusion:
         with pytest.raises(InvalidLabel):
             confusion([0, 1], [0, -1], 3)
 
+    def test_one_class_is_the_smallest_matrix(self):
+        assert confusion([0, 0], [0, 0], 1).counts.tolist() == [[2]]
+        with pytest.raises(InvalidLabel):
+            confusion([], [], 0)
+
 
 class TestBinarize:
     def test_diagonal_has_no_errors(self):
@@ -72,6 +77,8 @@ class TestBinarize:
             binarize(cm, {0, 1})
         with pytest.raises(InvalidLabel):
             binarize(cm, {5})
+        with pytest.raises(InvalidLabel):  # the first index past the last class
+            binarize(cm, {2})
 
 
 class TestBinaryFormulas:
