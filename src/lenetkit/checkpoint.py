@@ -43,9 +43,10 @@ digits), so a sidecar beside another binary is corrupt. A sidecar without
 that field, as older versions wrote it, is not checked against its binary.
 Every run artifact (this pair, the curves, the metrics, the config echo) is
 written by ``write_atomic``: to temporary files beside the targets, renamed
-into place once all are written, so a failed write leaves the previous
-files whole. The same call removes a stale companion, such as the sidecar
-of a checkpoint saved without metadata.
+into place once all are written, so a failed write of a temporary leaves
+the previous files whole. A failed rename leaves the renames before it in
+place. The same call removes a stale companion, such as the sidecar of a
+checkpoint saved without metadata.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import numpy as np
 
 from .errors import (CorruptCheckpoint, InvalidShape, IoError, UnsupportedVersion,
                      read_input, read_json)
-from .nn import LeNetModel, Param
+from .nn import LeNetModel
 
 MAGIC = b"LNCK"
 VERSION = 1
@@ -204,7 +205,7 @@ def model_to_checkpoint(model: LeNetModel, class_names=None, train_config=None,
                         final_record=None) -> Checkpoint:
     return Checkpoint(
         num_classes=model.num_classes,
-        params={p.name: p.value.copy() for p in model.param_list()},
+        params={name: value.copy() for name, value in model.params.items()},
         class_names=list(class_names) if class_names else None,
         train_config=train_config,
         final_record=final_record,
@@ -220,10 +221,8 @@ def checkpoint_to_model(ckpt: Checkpoint) -> LeNetModel:
         if not np.isfinite(value).all():
             raise CorruptCheckpoint(
                 f"checkpoint parameter {name!r} holds a non-finite value")
-    params = {name: Param(name, value, np.zeros(value.shape))
-              for name, value in ckpt.params.items()}
     try:
-        return LeNetModel(params, ckpt.num_classes)
+        return LeNetModel(ckpt.params, ckpt.num_classes)
     except InvalidShape as exc:
         raise CorruptCheckpoint(f"checkpoint does not fit the model: {exc}") from exc
 

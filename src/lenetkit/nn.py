@@ -27,8 +27,10 @@ straight into its output. A model owns a ``Workspace`` of grow-only scratch
 buffers that these GEMMs reuse across calls: one column buffer that conv1 and
 conv2 share (so at most one column matrix is alive) and conv2's input-gradient
 accumulator. A backward builds its columns again from the trace's inputs, so
-any unconsumed trace backpropagates exactly. Every forward's activations, the
-probabilities and the gradients are fresh arrays; the elementwise backward
+any unconsumed trace backpropagates exactly. Every forward's activations and
+the probabilities are fresh arrays, and so is every gradient: ``model_backward``
+returns the parameters' gradients as a dict, which training hands straight to
+the optimizer; the model holds no gradient state. The elementwise backward
 layers make one output-sized array each and work in it in place. Training,
 ``evaluate`` and ``predict`` all run this one forward.
 """
@@ -50,22 +52,6 @@ COLUMN_BYTES = 1 << 20  # budget of one block of rows of conv2d_forward's column
 # ---------------------------------------------------------------------------
 # parameters and model
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Param:
-    """A named weight tensor paired with its gradient buffer."""
-
-    name: str
-    value: np.ndarray
-    grad: np.ndarray
-
-    def __post_init__(self):
-        if self.grad.shape != self.value.shape:
-            raise InvalidShape(
-                f"grad shape {self.grad.shape} != value shape {self.value.shape}"
-                f" for param {self.name!r}"
-            )
-
 
 def param_shapes(num_classes: int) -> list[tuple[str, tuple[int, ...]]]:
     """Parameter names and shapes in fixed model order."""
@@ -104,32 +90,25 @@ class Workspace:
 
 
 class LeNetModel:
-    """The fixed layer stack plus its parameters.
+    """The fixed layer stack plus its parameters, a map from name to array.
 
-    Parameters are owned by the model and mutated only by ``model_backward``
-    (gradients) and the optimizer (values).
+    Parameters are owned by the model and mutated only by the optimizer.
     """
 
-    def __init__(self, params: dict[str, Param], num_classes: int):
+    def __init__(self, params: dict[str, np.ndarray], num_classes: int):
         expected = dict(param_shapes(num_classes))
         if params.keys() != expected.keys():
             raise InvalidShape(f"parameters missing or unknown to the model:"
                                f" {sorted(params.keys() ^ expected.keys())}")
         for name, shape in expected.items():
-            if params[name].value.shape != shape:
+            if params[name].shape != shape:
                 raise InvalidShape(
-                    f"parameter {name!r} has shape {params[name].value.shape},"
+                    f"parameter {name!r} has shape {params[name].shape},"
                     f" expected {shape}"
                 )
         self.params = {name: params[name] for name in expected}
         self.num_classes = num_classes
         self.workspace = Workspace()
-
-    def param_list(self) -> list[Param]:
-        return list(self.params.values())
-
-    def __getitem__(self, name: str) -> Param:
-        return self.params[name]
 
 
 def init_params(seed: int, num_classes: int = 3) -> LeNetModel:
@@ -141,10 +120,10 @@ def init_params(seed: int, num_classes: int = 3) -> LeNetModel:
     start of training.
     """
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    params: dict[str, Param] = {}
+    params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(num_classes):
         if name.endswith(".bias"):
-            value = np.zeros(shape, dtype=np.float64)
+            params[name] = np.zeros(shape, dtype=np.float64)
         else:
             if len(shape) == 4:  # conv kernel [Cout, Cin, kh, kw]
                 cout, cin, kh, kw = shape
@@ -152,8 +131,7 @@ def init_params(seed: int, num_classes: int = 3) -> LeNetModel:
             else:  # dense weight [In, Out]
                 fan_in, fan_out = shape
             a = math.sqrt(6.0 / (fan_in + fan_out))
-            value = rng.uniform(-a, a, size=shape)
-        params[name] = Param(name, value, np.zeros(shape, dtype=np.float64))
+            params[name] = rng.uniform(-a, a, size=shape)
     return LeNetModel(params, num_classes)
 
 
@@ -395,18 +373,16 @@ def model_forward(model: LeNetModel, x: np.ndarray):
     p = model.params
     ws = model.workspace
 
-    sig1 = conv2d_forward(x, p["conv1.kernel"].value, p["conv1.bias"].value, workspace=ws)
+    sig1 = conv2d_forward(x, p["conv1.kernel"], p["conv1.bias"], workspace=ws)
     sigmoid_forward(sig1, out=sig1)
     pool1 = avgpool2d_forward(sig1, out=np.empty((6, 14, 14, n)).transpose(3, 0, 1, 2))
-    sig2 = conv2d_forward(pool1, p["conv2.kernel"].value, p["conv2.bias"].value, workspace=ws)
+    sig2 = conv2d_forward(pool1, p["conv2.kernel"], p["conv2.bias"], workspace=ws)
     sigmoid_forward(sig2, out=sig2)
     flat = np.empty((FLAT_FEATURES, n)).T
     avgpool2d_forward(sig2, out=flat.T.reshape(16, 5, 5, n).transpose(3, 0, 1, 2))
-    sig3 = sigmoid_forward(dense_forward(flat, p["fc1.weight"].value,
-                                         p["fc1.bias"].value))
-    sig4 = sigmoid_forward(dense_forward(sig3, p["fc2.weight"].value,
-                                         p["fc2.bias"].value))
-    logits = dense_forward(sig4, p["fc_out.weight"].value, p["fc_out.bias"].value)
+    sig3 = sigmoid_forward(dense_forward(flat, p["fc1.weight"], p["fc1.bias"]))
+    sig4 = sigmoid_forward(dense_forward(sig3, p["fc2.weight"], p["fc2.bias"]))
+    logits = dense_forward(sig4, p["fc_out.weight"], p["fc_out.bias"])
     probs = softmax(logits)
 
     trace = ForwardTrace(x=x, sig1=sig1, pool1=pool1, sig2=sig2, flat=flat,
@@ -415,12 +391,13 @@ def model_forward(model: LeNetModel, x: np.ndarray):
 
 
 def model_backward(model: LeNetModel, trace: ForwardTrace | None,
-                   upstream: np.ndarray) -> None:
-    """Backpropagate through the whole stack, overwriting every Param.grad.
+                   upstream: np.ndarray) -> dict[str, np.ndarray]:
+    """Backpropagate through the whole stack; returns each parameter's gradient.
 
     ``upstream`` is the gradient w.r.t. the pre-softmax logits, what the fused
-    losses emit. Gradients are overwritten, not accumulated; the optimizer
-    relies on that.
+    losses emit. The result maps every parameter name, in ``param_shapes``
+    order, to a fresh array that shares no memory with the model, its
+    workspace or the trace.
     """
     if trace is None or trace.consumed:
         raise InvalidState("forward trace is missing or already consumed")
@@ -433,32 +410,23 @@ def model_backward(model: LeNetModel, trace: ForwardTrace | None,
     trace.consumed = True
     p = model.params
     ws = model.workspace
+    g: dict[str, np.ndarray] = {}
 
-    dsig4, dw, db = dense_backward(trace.sig4, p["fc_out.weight"].value, upstream)
-    p["fc_out.weight"].grad[...] = dw
-    p["fc_out.bias"].grad[...] = db
-
+    dsig4, g["fc_out.weight"], g["fc_out.bias"] = dense_backward(
+        trace.sig4, p["fc_out.weight"], upstream)
     df2 = sigmoid_backward(trace.sig4, dsig4)
-    dsig3, dw, db = dense_backward(trace.sig3, p["fc2.weight"].value, df2)
-    p["fc2.weight"].grad[...] = dw
-    p["fc2.bias"].grad[...] = db
-
+    dsig3, g["fc2.weight"], g["fc2.bias"] = dense_backward(trace.sig3, p["fc2.weight"], df2)
     df1 = sigmoid_backward(trace.sig3, dsig3)
-    dflat, dw, db = dense_backward(trace.flat, p["fc1.weight"].value, df1)
-    p["fc1.weight"].grad[...] = dw
-    p["fc1.bias"].grad[...] = db
+    dflat, g["fc1.weight"], g["fc1.bias"] = dense_backward(trace.flat, p["fc1.weight"], df1)
 
     dpool2 = dflat.reshape(trace.sig2.shape[0], 16, 5, 5)
     dsig2 = avgpool2d_backward(trace.sig2.shape, dpool2)
     dconv2 = sigmoid_backward(trace.sig2, dsig2)
-    dpool1, dk, db = conv2d_backward(trace.pool1, p["conv2.kernel"].value, dconv2,
-                                     workspace=ws)
-    p["conv2.kernel"].grad[...] = dk
-    p["conv2.bias"].grad[...] = db
-
+    dpool1, g["conv2.kernel"], g["conv2.bias"] = conv2d_backward(
+        trace.pool1, p["conv2.kernel"], dconv2, workspace=ws)
     dsig1 = avgpool2d_backward(trace.sig1.shape, dpool1)
     dconv1 = sigmoid_backward(trace.sig1, dsig1)
-    kernel = p["conv1.kernel"].value  # conv1 needs no dx; its columns are rebuilt
-    _, dk, db = _param_grads(_columns(trace.x, *kernel.shape[2:], ws), kernel, dconv1)
-    p["conv1.kernel"].grad[...] = dk
-    p["conv1.bias"].grad[...] = db
+    kernel = p["conv1.kernel"]  # conv1 needs no dx; its columns are rebuilt
+    _, g["conv1.kernel"], g["conv1.bias"] = _param_grads(
+        _columns(trace.x, *kernel.shape[2:], ws), kernel, dconv1)
+    return {name: g[name] for name in p}  # in parameter order

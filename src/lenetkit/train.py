@@ -54,8 +54,6 @@ class TrainConfig:
             raise InvalidConfig(
                 f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
             )
-        if self.loss_kind == "focal" and self.focal is None:
-            self.focal = loss_mod.FocalConfig()
 
 
 @dataclass
@@ -75,10 +73,11 @@ class EpochStats:
     val_confusion: metrics_mod.ConfusionMatrix
 
 
-def sgd_step(model: LeNetModel, learning_rate: float) -> None:
-    """value <- value - learning_rate * grad for every parameter in place."""
-    for p in model.param_list():
-        p.value -= learning_rate * p.grad
+def sgd_step(model: LeNetModel, grads: dict[str, np.ndarray],
+             learning_rate: float) -> None:
+    """param <- param - learning_rate * grads[name] for every parameter in place."""
+    for name, value in model.params.items():
+        value -= learning_rate * grads[name]
 
 
 def _compute_loss(logits, targets, loss_kind, focal_cfg):
@@ -125,12 +124,12 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
 
 
 def _snapshot(model: LeNetModel) -> dict[str, np.ndarray]:
-    return {p.name: p.value.copy() for p in model.param_list()}
+    return {name: value.copy() for name, value in model.params.items()}
 
 
 def _restore(model: LeNetModel, snapshot: dict[str, np.ndarray]) -> None:
-    for p in model.param_list():
-        p.value[...] = snapshot[p.name]
+    for name, value in model.params.items():
+        value[...] = snapshot[name]
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -189,8 +188,7 @@ def train(model: LeNetModel, train_set: data_mod.Dataset,
             out = _compute_loss(trace.logits, labels[idx], cfg.loss_kind, cfg.focal)
             if not np.isfinite(out.mean_loss):
                 break
-            model_backward(model, trace, out.dlogits)
-            sgd_step(model, cfg.learning_rate)
+            sgd_step(model, model_backward(model, trace, out.dlogits), cfg.learning_rate)
         else:  # every step was finite; the epoch counts if its evaluation is too
             train_loss, train_acc, _ = evaluate(model, train_set, cfg.loss_kind, cfg.focal)
             val_loss, val_acc, val_cm = evaluate(model, val_set, cfg.loss_kind, cfg.focal)

@@ -163,8 +163,8 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert loaded.num_classes == 3
         assert path.read_bytes()[4:8] == struct.pack("<I", 1)  # the format version
-        for p in model.param_list():
-            assert loaded.params[p.name].tobytes() == p.value.tobytes()
+        for name, value in model.params.items():
+            assert loaded.params[name].tobytes() == value.tobytes()
 
     def test_rebuilt_model_evaluates_identically(self, tmp_path):
         model = init_params(21)
@@ -420,7 +420,7 @@ def test_rebuilt_model_keeps_the_loaded_arrays(tmp_path):
     save_checkpoint(path, model_to_checkpoint(init_params(2), class_names=["x", "y", "z"]))
     loaded = load_checkpoint(path)
     model = checkpoint_to_model(loaded)
-    assert all(model[name].value is value for name, value in loaded.params.items())
+    assert all(model.params[name] is value for name, value in loaded.params.items())
     again = tmp_path / "again.lnck"
     save_checkpoint(again, model_to_checkpoint(model, class_names=loaded.class_names))
     assert again.read_bytes() == path.read_bytes()

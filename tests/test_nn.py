@@ -25,6 +25,7 @@ from lenetkit.nn import (
     init_params,
     model_backward,
     model_forward,
+    param_shapes,
     sigmoid_backward,
     sigmoid_forward,
     softmax,
@@ -363,7 +364,7 @@ def _layouts(a, perm):
 def test_layers_return_the_same_bits_in_every_layout(n, perm, seed):
     rng = np.random.default_rng(seed)
     model = init_params(seed)
-    k1, k2 = model["conv1.kernel"].value, model["conv2.kernel"].value
+    k1, k2 = model.params["conv1.kernel"], model.params["conv2.kernel"]
     b1, b2 = rng.normal(size=6), rng.normal(size=16)
     x, pool1 = rng.uniform(0, 1, (n, 1, 32, 32)), rng.uniform(0, 1, (n, 6, 14, 14))
     dout1, dout2 = rng.normal(size=(n, 6, 28, 28)), rng.normal(size=(n, 16, 10, 10))
@@ -383,9 +384,25 @@ class TestModelBackward:
         model = init_params(4)
         x = np.random.default_rng(15).uniform(0, 1, (2, 1, 32, 32))
         _, trace = model_forward(model, x)
-        model_backward(model, trace, np.zeros((2, 3)))
-        for p in model.param_list():
-            assert not p.grad.any(), p.name
+        grads = model_backward(model, trace, np.zeros((2, 3)))
+        for name, grad in grads.items():
+            assert not grad.any(), name
+
+    def test_returns_fresh_gradients_in_parameter_order(self):
+        rng = np.random.default_rng(27)
+        model = init_params(12, num_classes=4)
+        x, upstream = rng.uniform(0, 1, (3, 1, 32, 32)), rng.normal(size=(3, 4))
+        _, trace = model_forward(model, x)
+        traced = [trace.x, trace.sig1, trace.pool1, trace.sig2, trace.flat,
+                  trace.sig3, trace.sig4, trace.logits, upstream]
+        grads = model_backward(model, trace, upstream)
+        assert [(name, grad.shape) for name, grad in grads.items()] == param_shapes(4)
+        held = [*model.workspace.buffers.values(), *traced, *model.params.values()]
+        for name, grad in grads.items():
+            assert not any(np.shares_memory(grad, a) for a in held), name
+        before = {name: grad.copy() for name, grad in grads.items()}
+        _train_step(model, rng.uniform(0, 1, (3, 1, 32, 32)), rng.normal(size=(3, 4)))
+        _assert_same_grads(grads, before)
 
     def test_whole_model_finite_difference(self):
         # one-sample batch; >= 200 randomly sampled parameter coordinates
@@ -402,13 +419,13 @@ class TestModelBackward:
 
         _, trace = model_forward(model, x)
         out = cross_entropy(trace.logits, target)
-        model_backward(model, trace, out.dlogits)
+        grads = model_backward(model, trace, out.dlogits)
 
         eps = 1e-5
         checked = 0
-        for p in model.param_list():
-            flat_v = p.value.reshape(-1)
-            flat_g = p.grad.reshape(-1)
+        for name, value in model.params.items():
+            flat_v = value.reshape(-1)
+            flat_g = grads[name].reshape(-1)
             take = min(25, flat_v.size)
             for i in rng.choice(flat_v.size, size=take, replace=False):
                 old = flat_v[i]
@@ -418,7 +435,7 @@ class TestModelBackward:
                 fm = loss_value()
                 flat_v[i] = old
                 fd = (fp - fm) / (2 * eps)
-                assert abs(flat_g[i] - fd) / max(1.0, abs(fd)) <= FD_TOL, p.name
+                assert abs(flat_g[i] - fd) / max(1.0, abs(fd)) <= FD_TOL, name
                 checked += 1
         assert checked >= 200
 
@@ -427,12 +444,9 @@ class TestModelBackward:
         x = np.random.default_rng(17).uniform(0, 1, (2, 1, 32, 32))
         upstream = np.random.default_rng(18).normal(size=(2, 3))
         _, t1 = model_forward(model, x)
-        model_backward(model, t1, upstream)
-        grads1 = {p.name: p.grad.copy() for p in model.param_list()}
+        grads1 = model_backward(model, t1, upstream)
         _, t2 = model_forward(model, x)
-        model_backward(model, t2, upstream)
-        for p in model.param_list():
-            np.testing.assert_array_equal(p.grad, grads1[p.name])
+        _assert_same_grads(model_backward(model, t2, upstream), grads1)
 
     def test_consumed_trace_raises(self):
         model = init_params(7)
@@ -446,8 +460,15 @@ class TestModelBackward:
 
 
 def _train_step(model, x, upstream):
+    """Forward and backward; returns the gradients."""
     _, trace = model_forward(model, x)
-    model_backward(model, trace, upstream)
+    return model_backward(model, trace, upstream)
+
+
+def _assert_same_grads(got, want):
+    assert list(got) == list(want)
+    for name, grad in got.items():
+        np.testing.assert_array_equal(grad, want[name], err_msg=name)
 
 
 class TestWorkspace:
@@ -462,11 +483,8 @@ class TestWorkspace:
         model_forward(model, rng.uniform(0, 1, (64, 1, 32, 32)))
         model_forward(model, rng.uniform(0, 1, (3, 1, 32, 32)))
         for x, trace in ((x1, t1), (x2, t2)):
-            model_backward(model, trace, upstream)
-            fresh = init_params(8)
-            _train_step(fresh, x, upstream)
-            for p, q in zip(model.param_list(), fresh.param_list()):
-                np.testing.assert_array_equal(p.grad, q.grad, err_msg=p.name)
+            _assert_same_grads(model_backward(model, trace, upstream),
+                               _train_step(init_params(8), x, upstream))
 
     def test_backward_equals_the_bare_call_whatever_the_workspace_holds(self):
         rng = np.random.default_rng(24)
@@ -527,41 +545,40 @@ class TestWorkspace:
         clone = copy.deepcopy(model)
         for role, buffer in model.workspace.buffers.items():
             assert not np.shares_memory(clone.workspace.buffers[role], buffer), role
-        for p, q in zip(model.param_list(), clone.param_list()):
-            assert not np.shares_memory(p.value, q.value), p.name
-        _train_step(model, x, upstream)
-        _train_step(clone, x, upstream)
-        for p, q in zip(model.param_list(), clone.param_list()):
-            np.testing.assert_array_equal(p.grad, q.grad, err_msg=p.name)
+        for name, value in model.params.items():
+            assert not np.shares_memory(value, clone.params[name]), name
+        _assert_same_grads(_train_step(model, x, upstream),
+                           _train_step(clone, x, upstream))
 
 
 class TestInitParams:
     def test_deterministic_per_seed(self):
         m1, m2 = init_params(42), init_params(42)
-        for p1, p2 in zip(m1.param_list(), m2.param_list()):
-            np.testing.assert_array_equal(p1.value, p2.value)
+        assert list(m1.params) == list(m2.params)
+        for name, value in m1.params.items():
+            np.testing.assert_array_equal(value, m2.params[name])
 
     def test_different_seeds_differ(self):
         m1, m2 = init_params(0), init_params(1)
-        assert any(not np.array_equal(p1.value, p2.value)
-                   for p1, p2 in zip(m1.param_list(), m2.param_list()))
+        assert any(not np.array_equal(value, m2.params[name])
+                   for name, value in m1.params.items())
 
     def test_biases_zero(self):
         model = init_params(9)
-        for p in model.param_list():
-            if p.name.endswith(".bias"):
-                assert not p.value.any(), p.name
+        for name, value in model.params.items():
+            if name.endswith(".bias"):
+                assert not value.any(), name
 
     def test_conv1_glorot_bound(self):
         # fan_in = 1*5*5 = 25, fan_out = 6*5*5 = 150
         bound = math.sqrt(6.0 / (25 + 150))
-        k = init_params(10)["conv1.kernel"].value
+        k = init_params(10).params["conv1.kernel"]
         assert np.all(np.abs(k) < bound)
         assert k.max() > 0.8 * bound  # actually fills the range
 
     def test_num_classes_respected(self):
         model = init_params(11, num_classes=5)
-        assert model["fc_out.weight"].value.shape == (84, 5)
-        assert model["fc_out.bias"].value.shape == (5,)
+        assert model.params["fc_out.weight"].shape == (84, 5)
+        assert model.params["fc_out.bias"].shape == (5,)
         probs, _ = model_forward(model, np.zeros((1, 1, 32, 32)))
         assert probs.shape == (1, 5)

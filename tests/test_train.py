@@ -22,39 +22,35 @@ def tiny_dataset(n_per_class=3, seed=0, split="train"):
 
 
 def param_bytes(model):
-    return b"".join(p.value.tobytes() for p in model.param_list())
+    return b"".join(value.tobytes() for value in model.params.values())
 
 
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
         model = init_params(0)
         before = param_bytes(model)
-        for p in model.param_list():
-            p.grad[...] = 1.0
-        sgd_step(model, 0.0)
+        sgd_step(model, {name: np.ones_like(value)
+                         for name, value in model.params.items()}, 0.0)
         assert param_bytes(model) == before
 
     def test_single_weight_update(self):
         model = init_params(1)
-        p = model["fc1.bias"]
-        p.value[0] = 1.0
-        p.grad[...] = 0.0
-        p.grad[0] = 0.5
-        sgd_step(model, 0.1)
-        np.testing.assert_allclose(p.value[0], 0.95, rtol=1e-15)
+        p = model.params["fc1.bias"]
+        p[0] = 1.0
+        grads = {name: np.zeros_like(value) for name, value in model.params.items()}
+        grads["fc1.bias"][0] = 0.5
+        sgd_step(model, grads, 0.1)
+        np.testing.assert_allclose(p[0], 0.95, rtol=1e-15)
 
     def test_two_steps_equal_one_double_step(self):
         m1, m2 = init_params(2), init_params(2)
         rng = np.random.default_rng(3)
-        for p1, p2 in zip(m1.param_list(), m2.param_list()):
-            g = rng.normal(size=p1.grad.shape)
-            p1.grad[...] = g
-            p2.grad[...] = g
-        sgd_step(m1, 0.01)
-        sgd_step(m1, 0.01)
-        sgd_step(m2, 0.02)
-        for p1, p2 in zip(m1.param_list(), m2.param_list()):
-            np.testing.assert_allclose(p1.value, p2.value, rtol=1e-15, atol=1e-15)
+        grads = {name: rng.normal(size=value.shape) for name, value in m1.params.items()}
+        sgd_step(m1, grads, 0.01)
+        sgd_step(m1, grads, 0.01)
+        sgd_step(m2, grads, 0.02)
+        for name, value in m1.params.items():
+            np.testing.assert_allclose(value, m2.params[name], rtol=1e-15, atol=1e-15)
 
     def test_small_step_decreases_loss(self):
         # re-forward after the step; property over random instances
@@ -65,8 +61,7 @@ class TestSgdStep:
             target = [int(rng.integers(0, 3))]
             _, trace = model_forward(model, x)
             out = cross_entropy(trace.logits, target)
-            model_backward(model, trace, out.dlogits)
-            sgd_step(model, 1e-4)
+            sgd_step(model, model_backward(model, trace, out.dlogits), 1e-4)
             _, trace2 = model_forward(model, x)
             after = cross_entropy(trace2.logits, target).mean_loss
             assert after < out.mean_loss
@@ -175,6 +170,18 @@ class TestTrainLoop:
             runs.append((records, param_bytes(model)))
         assert runs[0] == runs[1]
 
+    def test_focal_without_a_config_trains_as_the_default_config(self):
+        runs = []
+        for focal in (None, FocalConfig()):
+            model = init_params(19)
+            records, _ = train(model, tiny_dataset(), tiny_dataset(seed=6),
+                               TrainConfig(epochs=2, batch_size=4, seed=8,
+                                           loss_kind="focal", focal=focal))
+            runs.append((records, param_bytes(model)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] != train(init_params(19), tiny_dataset(), tiny_dataset(seed=6),
+                                   TrainConfig(epochs=2, batch_size=4, seed=8))[0]
+
     def test_empty_sets_rejected(self):
         empty = Dataset([], ["a", "b", "c"], "train")
         with pytest.raises(EmptyDataset):
@@ -198,8 +205,8 @@ class TestTrainLoop:
             train(model, ds, tiny_dataset(seed=6),
                   TrainConfig(epochs=5, batch_size=9, shuffle=False))
         # restored to the last good snapshot; params must be finite
-        for p in model.param_list():
-            assert np.all(np.isfinite(p.value))
+        for value in model.params.values():
+            assert np.all(np.isfinite(value))
         assert err.value.records == []
         # divergence hits in epoch 1 here, so restore == initial state
         assert param_bytes(model) == before
