@@ -34,7 +34,8 @@ Loading walks the file's bytes at offsets and checks, in order: length,
 magic, CRC, version, class count, each record's UTF-8 name, rank, dims and
 values, trailing bytes, then the sidecar. Each tensor is copied once, out of
 those bytes; a truncated or tampered file never yields a partial model.
-``checkpoint_to_model`` rejects non-finite values and keeps those arrays.
+``checkpoint_to_model`` rejects parameters that are not float64 or hold
+non-finite values, and keeps those arrays.
 
 Run metadata that is not part of the binary contract (class names, the
 training config echo, the final epoch record) travels in an optional JSON
@@ -215,16 +216,17 @@ def model_to_checkpoint(model: LeNetModel, class_names=None, train_config=None,
 def checkpoint_to_model(ckpt: Checkpoint) -> LeNetModel:
     """Rebuild a model that owns ``ckpt.params``' arrays from then on, not copies of them.
 
-    A non-finite value or an undeclared name or shape is corrupt.
+    An undeclared name, shape or dtype, or a non-finite value, is corrupt.
     """
-    for name, value in ckpt.params.items():
+    try:
+        model = LeNetModel(ckpt.params, ckpt.num_classes)
+    except InvalidShape as exc:
+        raise CorruptCheckpoint(f"checkpoint does not fit the model: {exc}") from exc
+    for name, value in model.params.items():
         if not np.isfinite(value).all():
             raise CorruptCheckpoint(
                 f"checkpoint parameter {name!r} holds a non-finite value")
-    try:
-        return LeNetModel(ckpt.params, ckpt.num_classes)
-    except InvalidShape as exc:
-        raise CorruptCheckpoint(f"checkpoint does not fit the model: {exc}") from exc
+    return model
 
 
 def _sidecar_path(path: Path) -> Path:

@@ -37,7 +37,7 @@ class InvalidConfig(EngineError):
 
 
 class InvalidState(EngineError):
-    """A backward was called with a missing, consumed or another model's trace."""
+    """A backward was called with a missing trace or another model's trace."""
 
 
 class InvalidPartition(EngineError):

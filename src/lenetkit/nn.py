@@ -26,13 +26,17 @@ A forward builds its columns in blocks of output rows, at most COLUMN_BYTES
 straight into its output. A model owns a ``Workspace`` of grow-only scratch
 buffers that these GEMMs reuse across calls: one column buffer that conv1 and
 conv2 share (so at most one column matrix is alive) and conv2's input-gradient
-accumulator. A backward builds its columns again from the trace's inputs, so
-any unconsumed trace backpropagates exactly. Every forward's activations and
-the probabilities are fresh arrays, and so is every gradient: ``model_backward``
+accumulator. A backward builds its columns again from the trace's inputs, so a
+trace backpropagates exactly, and as often as asked, whatever ran after it.
+conv1 needs no input gradient, so its kernel gradient is summed over the
+forward's blocks of rows; conv2's backward builds its whole column matrix,
+which its input-gradient GEMM then writes over, and that matrix sets the
+column buffer's size in training. Every forward's activations and the
+probabilities are fresh arrays, and so is every gradient: ``model_backward``
 returns the parameters' gradients as a dict, which training hands straight to
-the optimizer; the model holds no gradient state. The elementwise backward
-layers make one output-sized array each and work in it in place. Training,
-``evaluate`` and ``predict`` all run this one forward.
+the optimizer; the model holds no gradient state. ``model_backward`` runs each
+sigmoid backward in place, in the fresh array that the layer above has just
+returned. Training, ``evaluate`` and ``predict`` all run this one forward.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .errors import InvalidShape, InvalidState
 
 IMAGE_SIZE = 32
 FLAT_FEATURES = 400  # 16 channels x 5 x 5 after the second pooling
-COLUMN_BYTES = 1 << 20  # budget of one block of rows of conv2d_forward's columns
+COLUMN_BYTES = 1 << 20  # budget of one block of rows of a conv's columns
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +94,7 @@ class Workspace:
 
 
 class LeNetModel:
-    """The fixed layer stack plus its parameters, a map from name to array.
+    """The fixed layer stack plus its parameters, a map from name to float64 array.
 
     Parameters are owned by the model and mutated only by the optimizer.
     """
@@ -101,10 +105,10 @@ class LeNetModel:
             raise InvalidShape(f"parameters missing or unknown to the model:"
                                f" {sorted(params.keys() ^ expected.keys())}")
         for name, shape in expected.items():
-            if params[name].shape != shape:
+            if params[name].shape != shape or params[name].dtype != np.float64:
                 raise InvalidShape(
-                    f"parameter {name!r} has shape {params[name].shape},"
-                    f" expected {shape}"
+                    f"parameter {name!r} is {params[name].dtype} of shape"
+                    f" {params[name].shape}, expected float64 of shape {shape}"
                 )
         self.params = {name: params[name] for name in expected}
         self.num_classes = num_classes
@@ -171,16 +175,33 @@ def _conv_dims(x: np.ndarray, kernel: np.ndarray) -> tuple[int, ...]:
     return n, cin, h, w, cout, kh, kw
 
 
-def _param_grads(cols: np.ndarray, kernel: np.ndarray, dout: np.ndarray):
-    """(dout_mat, dkernel, dbias) of a conv from its input's column matrix.
+def _row_blocks(kernel: np.ndarray, out_shape: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, stop) of each block of a conv's output rows: as many rows as fit
+    in COLUMN_BYTES of columns, at least one."""
+    n, _, ho, wo = out_shape
+    rows = max(1, COLUMN_BYTES // max(8 * kernel[0].size * wo * n, 1))
+    return [(start, min(start + rows, ho)) for start in range(0, ho, rows)]
+
+
+def _param_grads(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, ws: Workspace,
+                 blocks: list[tuple[int, int]]):
+    """(cols, dout_mat, dkernel, dbias) of a conv of x, its columns built one
+    (start, stop) block of output rows at a time; cols is the last block's.
 
     dout_mat is dout as a C-contiguous [O, Ho*Wo*N], a view when dout is
-    batch-innermost; dL/dk = dout_mat @ cols.T and dL/db[o] = sum_{n,i,j}
-    dout[n,o,i,j].
+    batch-innermost; dL/dk is the sum over blocks of dout_mat's block of
+    columns @ cols.T, and dL/db[o] = sum_{n,i,j} dout[n,o,i,j].
     """
-    dout_mat = np.ascontiguousarray(dout.transpose(1, 2, 3, 0))
-    dout_mat = dout_mat.reshape(kernel.shape[0], -1)
-    return dout_mat, (dout_mat @ cols.T).reshape(kernel.shape), dout_mat.sum(axis=1)
+    n, cout, _, wo = dout.shape
+    dout_mat = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)).reshape(cout, -1)
+    for start, stop in blocks:
+        cols = _columns(x, *kernel.shape[2:], ws, start, stop)
+        part = dout_mat[:, start * wo * n:stop * wo * n] @ cols.T
+        if start == 0:
+            dkernel = part
+        else:
+            dkernel += part
+    return cols, dout_mat, dkernel.reshape(kernel.shape), dout_mat.sum(axis=1)
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
@@ -204,9 +225,7 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, *,
     out = np.empty((cout, ho, wo, n))
     ws = Workspace() if workspace is None else workspace
     k = kernel.reshape(cout, -1)
-    rows = max(1, COLUMN_BYTES // max(8 * k.shape[1] * wo * n, 1))
-    for start in range(0, ho, rows):
-        stop = min(start + rows, ho)
+    for start, stop in _row_blocks(kernel, (n, cout, ho, wo)):
         block = out[:, start:stop].reshape(cout, (stop - start) * wo * n)
         np.matmul(k, _columns(x, kh, kw, ws, start, stop), out=block)
         block += bias[:, None]
@@ -229,8 +248,7 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dout: np.ndarray, *,
     if dout.shape != (n, cout, ho, wo):
         raise InvalidShape(f"dout shape {dout.shape} != output shape {(n, cout, ho, wo)}")
     ws = Workspace() if workspace is None else workspace
-    cols = _columns(x, kh, kw, ws)
-    dout_mat, dkernel, dbias = _param_grads(cols, kernel, dout)
+    cols, dout_mat, dkernel, dbias = _param_grads(x, kernel, dout, ws, [(0, ho)])
     dcols = np.matmul(kernel.reshape(cout, -1).T, dout_mat, out=cols)  # columns are spent
     dcols = dcols.reshape(cin, kh, kw, ho, wo, n)
     dx = ws.take("dx", (cin, h, w, n))
@@ -288,13 +306,18 @@ def sigmoid_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def sigmoid_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """dx = dy * y * (1 - y), with y the cached forward output."""
+def sigmoid_backward(y: np.ndarray, dy: np.ndarray, *,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """dx = (dy * y) * (1 - y), with y the cached forward output.
+
+    dx is ``out`` if given (``out=dy`` runs in place), else a fresh array;
+    either way it holds the same bits.
+    """
     if y.shape != dy.shape:
         raise InvalidShape(f"dy shape {dy.shape} != y shape {y.shape}")
-    dx = dy * y
-    dx *= 1.0 - y  # in place: (dy * y) * (1 - y), one output-sized array
-    return dx
+    out = np.multiply(dy, y, out=out)
+    out *= 1.0 - y
+    return out
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -334,10 +357,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """Cached activations one forward pass leaves behind for backward.
 
-    Consumed exactly once, by a backward of the model that made it, at any
-    time: a second backward from the same trace, or a backward of another
-    model, raises ``InvalidState``. The fields up to ``sig2`` are [N,C,H,W]
-    views of batch-innermost arrays, and ``flat`` is the [N,400] view of one.
+    Any number of backwards of the model that made it may read it, at any
+    time; a backward of another model raises ``InvalidState``. The fields up
+    to ``sig2`` are [N,C,H,W] views of batch-innermost arrays, and ``flat`` is
+    the [N,400] view of one.
     The probabilities are not a field: backward needs only the logits, and
     ``model_forward`` returns them beside the trace.
     """
@@ -351,7 +374,6 @@ class ForwardTrace:
     sig4: np.ndarray     # [N,84]
     logits: np.ndarray   # [N,K] pre-softmax
     model: LeNetModel    # the model whose forward made this trace
-    consumed: bool = False
 
 
 def model_forward(model: LeNetModel, x: np.ndarray):
@@ -359,7 +381,7 @@ def model_forward(model: LeNetModel, x: np.ndarray):
 
     The input must be exactly [N, 1, 32, 32]; anything else raises rather
     than cropping or padding. Every activation is a fresh array, so the
-    trace stays valid for one ``model_backward`` whatever runs in between;
+    trace stays valid for ``model_backward`` whatever runs in between;
     a caller that needs only ``probs`` or ``trace.logits`` drops it.
     """
     if x.ndim != 4 or x.shape[1:] != (1, IMAGE_SIZE, IMAGE_SIZE):
@@ -399,34 +421,33 @@ def model_backward(model: LeNetModel, trace: ForwardTrace | None,
     order, to a fresh array that shares no memory with the model, its
     workspace or the trace.
     """
-    if trace is None or trace.consumed:
-        raise InvalidState("forward trace is missing or already consumed")
+    if trace is None:
+        raise InvalidState("forward trace is missing")
     if trace.model is not model:
         raise InvalidState("forward trace was made by another model")
     if upstream.shape != trace.logits.shape:
         raise InvalidShape(
             f"upstream shape {upstream.shape} != logits shape {trace.logits.shape}"
         )
-    trace.consumed = True
     p = model.params
     ws = model.workspace
     g: dict[str, np.ndarray] = {}
 
     dsig4, g["fc_out.weight"], g["fc_out.bias"] = dense_backward(
         trace.sig4, p["fc_out.weight"], upstream)
-    df2 = sigmoid_backward(trace.sig4, dsig4)
+    df2 = sigmoid_backward(trace.sig4, dsig4, out=dsig4)
     dsig3, g["fc2.weight"], g["fc2.bias"] = dense_backward(trace.sig3, p["fc2.weight"], df2)
-    df1 = sigmoid_backward(trace.sig3, dsig3)
+    df1 = sigmoid_backward(trace.sig3, dsig3, out=dsig3)
     dflat, g["fc1.weight"], g["fc1.bias"] = dense_backward(trace.flat, p["fc1.weight"], df1)
 
     dpool2 = dflat.reshape(trace.sig2.shape[0], 16, 5, 5)
     dsig2 = avgpool2d_backward(trace.sig2.shape, dpool2)
-    dconv2 = sigmoid_backward(trace.sig2, dsig2)
+    dconv2 = sigmoid_backward(trace.sig2, dsig2, out=dsig2)
     dpool1, g["conv2.kernel"], g["conv2.bias"] = conv2d_backward(
         trace.pool1, p["conv2.kernel"], dconv2, workspace=ws)
     dsig1 = avgpool2d_backward(trace.sig1.shape, dpool1)
-    dconv1 = sigmoid_backward(trace.sig1, dsig1)
-    kernel = p["conv1.kernel"]  # conv1 needs no dx; its columns are rebuilt
-    _, g["conv1.kernel"], g["conv1.bias"] = _param_grads(
-        _columns(trace.x, *kernel.shape[2:], ws), kernel, dconv1)
+    dconv1 = sigmoid_backward(trace.sig1, dsig1, out=dsig1)
+    kernel = p["conv1.kernel"]  # conv1 needs no dx: its columns come a block at a time
+    *_, g["conv1.kernel"], g["conv1.bias"] = _param_grads(
+        trace.x, kernel, dconv1, ws, _row_blocks(kernel, dconv1.shape))
     return {name: g[name] for name in p}  # in parameter order

@@ -102,8 +102,9 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
     Batches are taken in fixed index order with a fixed batch size, so the
     reduced loss is bitwise reproducible. The parameters are never mutated.
     Each chunk, stacked batch-innermost, runs the same ``model_forward`` as a
-    training step, whose trace is dropped unconsumed; its column blocks reuse
-    the model's workspace buffer from chunk to chunk.
+    training step; its column blocks reuse the model's workspace buffer from
+    chunk to chunk. A chunk's trace and loss are dropped before the next
+    chunk's forward, so only one chunk's activations are alive at a time.
     """
     samples = dataset.samples
     if not samples:
@@ -118,6 +119,7 @@ def evaluate(model: LeNetModel, dataset: data_mod.Dataset,
                             loss_kind, focal_cfg)
         loss_sum += float(out.per_sample.sum())
         preds[start:start + len(chunk)] = np.argmax(probs, axis=1)
+        del trace, out
     cm = metrics_mod.confusion(labels, preds, model.num_classes)
     acc = int(np.trace(cm.counts)) / cm.total
     return loss_sum / len(samples), acc, cm
@@ -189,6 +191,7 @@ def train(model: LeNetModel, train_set: data_mod.Dataset,
             if not np.isfinite(out.mean_loss):
                 break
             sgd_step(model, model_backward(model, trace, out.dlogits), cfg.learning_rate)
+            del trace, out  # free this step's activations before the next forward
         else:  # every step was finite; the epoch counts if its evaluation is too
             train_loss, train_acc, _ = evaluate(model, train_set, cfg.loss_kind, cfg.focal)
             val_loss, val_acc, val_cm = evaluate(model, val_set, cfg.loss_kind, cfg.focal)

@@ -17,8 +17,8 @@ from lenetkit.checkpoint import (
     model_to_checkpoint,
     save_checkpoint,
 )
-from lenetkit.errors import CorruptCheckpoint, IoError, UnsupportedVersion
-from lenetkit.nn import init_params
+from lenetkit.errors import CorruptCheckpoint, InvalidShape, IoError, UnsupportedVersion
+from lenetkit.nn import LeNetModel, init_params
 from lenetkit.train import evaluate
 
 from test_train import tiny_dataset
@@ -413,6 +413,25 @@ def test_non_finite_parameter_rejected_at_model_build(tmp_path, value):
     loaded = load_checkpoint(path)  # the binary is well formed
     with pytest.raises(CorruptCheckpoint, match="'fc2.bias' holds a non-finite value"):
         checkpoint_to_model(loaded)
+
+
+def _params_of_dtype(kind):
+    """init_params(2)'s parameters, all int64, with a string fc1.bias, or one float32."""
+    params = model_to_checkpoint(init_params(2)).params
+    if kind == "int64":
+        return {name: value.astype(np.int64) for name, value in params.items()}
+    if kind == "string":
+        return {**params, "fc1.bias": np.full(120, "0.0")}
+    return {**params, "conv2.kernel": params["conv2.kernel"].astype(np.float32)}
+
+
+@pytest.mark.parametrize("kind", ["int64", "string", "mixed"])
+def test_a_parameter_that_is_not_float64_is_corrupt(kind):
+    params = _params_of_dtype(kind)
+    with pytest.raises(InvalidShape, match="expected float64"):
+        LeNetModel(params, 3)
+    with pytest.raises(CorruptCheckpoint, match="does not fit the model.*expected float64"):
+        checkpoint_to_model(Checkpoint(num_classes=3, params=params))
 
 
 def test_rebuilt_model_keeps_the_loaded_arrays(tmp_path):

@@ -237,6 +237,15 @@ def test_sigmoid_bounded_monotone_and_symmetric(x):
     np.testing.assert_allclose(y + y_neg, 1.0, rtol=0, atol=1e-15)
 
 
+def test_sigmoid_backward_into_dy_gives_the_fresh_call_bits():
+    rng = np.random.default_rng(28)
+    y = sigmoid_forward(rng.normal(size=(3, 6, 28, 28)))
+    dy = np.ascontiguousarray(rng.normal(size=y.shape).transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    fresh = sigmoid_backward(y, dy)
+    got = sigmoid_backward(y, dy, out=dy)
+    assert got is dy and got.tobytes() == fresh.tobytes()
+
+
 class TestDense:
     def test_identity_weights(self):
         rng = np.random.default_rng(8)
@@ -368,14 +377,16 @@ def test_layers_return_the_same_bits_in_every_layout(n, perm, seed):
     b1, b2 = rng.normal(size=6), rng.normal(size=16)
     x, pool1 = rng.uniform(0, 1, (n, 1, 32, 32)), rng.uniform(0, 1, (n, 6, 14, 14))
     dout1, dout2 = rng.normal(size=(n, 6, 28, 28)), rng.normal(size=(n, 16, 10, 10))
+    upstream = rng.normal(size=(n, 3))
     results = []
     for xl, pl, d1, d2 in zip(*(_layouts(a, perm) for a in (x, pool1, dout1, dout2))):
         got = [conv2d_forward(xl, k1, b1), *conv2d_backward(xl, k1, d1),
                conv2d_forward(pl, k2, b2), *conv2d_backward(pl, k2, d2),
                avgpool2d_forward(d1), avgpool2d_backward(d1.shape, pl),
                sigmoid_forward(d1), sigmoid_backward(pl, pl)]
-        probs, _ = model_forward(model, xl)
-        results.append([a.tobytes() for a in got] + [probs.tobytes()])
+        probs, trace = model_forward(model, xl)
+        got += [probs, *model_backward(model, trace, upstream).values()]
+        results.append([a.tobytes() for a in got])
     assert results[1] == results[0] and results[2] == results[0]
 
 
@@ -448,15 +459,39 @@ class TestModelBackward:
         _, t2 = model_forward(model, x)
         _assert_same_grads(model_backward(model, t2, upstream), grads1)
 
-    def test_consumed_trace_raises(self):
+    def test_a_second_backward_from_one_trace_gives_equal_gradients(self):
         model = init_params(7)
-        x = np.random.default_rng(19).uniform(0, 1, (1, 1, 32, 32))
+        rng = np.random.default_rng(19)
+        x, upstream = rng.uniform(0, 1, (1, 1, 32, 32)), rng.normal(size=(1, 3))
         _, trace = model_forward(model, x)
-        model_backward(model, trace, np.zeros((1, 3)))
+        first = model_backward(model, trace, upstream)
+        _assert_same_grads(model_backward(model, trace, upstream), first)
+
+    def test_a_missing_trace_raises(self):
         with pytest.raises(InvalidState):
-            model_backward(model, trace, np.zeros((1, 3)))
-        with pytest.raises(InvalidState):
-            model_backward(model, None, np.zeros((1, 3)))
+            model_backward(init_params(7), None, np.zeros((1, 3)))
+
+    # conv1's columns come in 1, 2 and 6 blocks of rows
+    @pytest.mark.parametrize("n, blocks", [(6, 1), (8, 2), (32, 6)])
+    def test_conv1_kernel_gradient_over_row_blocks_matches_the_whole_columns(self, n, blocks):
+        rng = np.random.default_rng(n)
+        model = init_params(n)
+        p = model.params
+        upstream = rng.normal(size=(n, 3))
+        _, trace = model_forward(model, rng.uniform(0, 1, (n, 1, 32, 32)))
+        grads = model_backward(model, trace, upstream)
+        # the chain down to conv1's output gradient, from the public layers
+        dsig4 = dense_backward(trace.sig4, p["fc_out.weight"], upstream)[0]
+        dsig3 = dense_backward(trace.sig3, p["fc2.weight"], sigmoid_backward(trace.sig4, dsig4))[0]
+        dflat = dense_backward(trace.flat, p["fc1.weight"], sigmoid_backward(trace.sig3, dsig3))[0]
+        dsig2 = avgpool2d_backward(trace.sig2.shape, dflat.reshape(n, 16, 5, 5))
+        dpool1 = conv2d_backward(trace.pool1, p["conv2.kernel"],
+                                 sigmoid_backward(trace.sig2, dsig2))[0]
+        dconv1 = sigmoid_backward(trace.sig1, avgpool2d_backward(trace.sig1.shape, dpool1))
+        want = conv2d_backward(trace.x, p["conv1.kernel"], dconv1)[1]
+        assert len(nn._row_blocks(p["conv1.kernel"], dconv1.shape)) == blocks
+        got = grads["conv1.kernel"]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _train_step(model, x, upstream):
@@ -510,14 +545,22 @@ class TestWorkspace:
         np.testing.assert_array_equal(conv2d_forward(x, k, b, workspace=ws),
                                       conv2d_forward(x, k, b))
 
-    def test_a_consumed_trace_raises_after_later_forwards(self):
+    @pytest.mark.parametrize("n", [1, 8, 32, 64])
+    def test_a_second_backward_after_later_forwards_gives_equal_gradients(self, n):
         rng = np.random.default_rng(26)
         model = init_params(8)
-        _, trace = model_forward(model, rng.uniform(0, 1, (2, 1, 32, 32)))
-        model_backward(model, trace, np.zeros((2, 3)))
-        model_forward(model, rng.uniform(0, 1, (2, 1, 32, 32)))
-        with pytest.raises(InvalidState):
-            model_backward(model, trace, np.zeros((2, 3)))
+        upstream = rng.normal(size=(n, 3))
+        _, trace = model_forward(model, rng.uniform(0, 1, (n, 1, 32, 32)))
+        first = model_backward(model, trace, upstream)
+        _train_step(model, rng.uniform(0, 1, (40, 1, 32, 32)), rng.normal(size=(40, 3)))
+        _assert_same_grads(model_backward(model, trace, upstream), first)
+
+    def test_a_training_step_at_n32_holds_conv2s_whole_columns(self):
+        rng = np.random.default_rng(29)
+        model = init_params(8)
+        _train_step(model, rng.uniform(0, 1, (32, 1, 32, 32)), rng.normal(size=(32, 3)))
+        # conv2's [150, 10*10*32] columns; conv1's whole [25, 28*28*32] would be 5,017,600 B
+        assert model.workspace.buffers["cols"].nbytes == 8 * 150 * 100 * 32 == 3_840_000
 
     def test_a_trace_of_another_model_raises(self):
         x = np.random.default_rng(21).uniform(0, 1, (1, 1, 32, 32))

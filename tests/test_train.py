@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from lenetkit import train as train_mod
 from lenetkit.data import AugmentConfig, Dataset, Sample, gen_synthetic, load_dataset
 from lenetkit.errors import DivergenceDetected, EmptyDataset, InvalidConfig
 from lenetkit.loss import FocalConfig, cross_entropy
@@ -120,6 +123,35 @@ class TestEvaluate:
         ce_loss, _, _ = evaluate(model, ds, "cross_entropy")
         fl_loss, _, _ = evaluate(model, ds, "focal", FocalConfig(gamma=2.0))
         assert fl_loss < ce_loss  # modulator < 1 on imperfect predictions
+
+
+class TestOneTraceAlive:
+    """Each chunk's or step's trace is freed before the next forward runs."""
+
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        traces = []  # a weak reference to each trace that model_forward returned
+
+        def forward(model, x):
+            alive = sum(ref() is not None for ref in traces)
+            assert not alive, f"{alive} earlier trace(s) alive at forward {len(traces) + 1}"
+            probs, trace = model_forward(model, x)
+            traces.append(weakref.ref(trace))
+            return probs, trace
+
+        monkeypatch.setattr(train_mod, "model_forward", forward)
+        return traces
+
+    def test_in_evaluate(self, traces):
+        evaluate(init_params(12), tiny_dataset(n_per_class=50))  # 150 images
+        assert len(traces) == 3  # chunks of 64, 64 and 22
+
+    def test_in_train(self, traces):
+        val = tiny_dataset(n_per_class=1, seed=1, split="validation")
+        records, _ = train(init_params(13), tiny_dataset(), val,
+                           TrainConfig(epochs=2, batch_size=3, seed=1))
+        assert len(records) == 2
+        assert len(traces) == 2 * (3 + 2)  # per epoch, 3 steps and 2 one-chunk evaluations
 
 
 class TestTrainLoop:
