@@ -4,8 +4,9 @@ Commands: ``train``, ``evaluate``, ``predict``, ``gen-synthetic``,
 ``export-curves``. Configuration comes from an optional JSON file with
 flat snake_case keys; command-line flags override file values, and the
 effective configuration is echoed to ``config.echo.json`` in the output
-directory for reproducibility. ``train`` and ``evaluate`` write the metrics
-report that ``metrics.metrics_json`` builds.
+directory for reproducibility. ``train``, and ``evaluate`` from the sidecar,
+build the run's ``TrainConfig`` through one builder, so both check the same
+ranges. Both write the metrics report that ``metrics.metrics_json`` builds.
 
 Exit codes: 0 success, else the ``exit_code`` of the error type raised (see
 ``errors``): 1 usage/config error, 2 data error, 3 numeric divergence. A
@@ -23,7 +24,7 @@ import math
 import os
 import sys
 import types
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 # one BLAS thread, set before numpy loads, so seeded bytes match on any core count
@@ -44,21 +45,22 @@ from .nn import init_params, model_forward  # noqa: E402
 
 EXIT_OK = 0
 
-# key -> (default, JSON type); ranges are checked by the dataclasses the values build
+# key -> (default, JSON type); a key named after a field of TrainConfig, FocalConfig
+# or AugmentConfig (seed: both seeds) takes its default there and is range-checked there
 CONFIG_SCHEMA = {
-    "epochs": (100, int),
-    "batch_size": (32, int),
-    "learning_rate": (0.1, float),
-    "loss_kind": ("cross_entropy", str),
-    "gamma": (2.0, float),
+    "epochs": (train_mod.TrainConfig.epochs, int),
+    "batch_size": (train_mod.TrainConfig.batch_size, int),
+    "learning_rate": (train_mod.TrainConfig.learning_rate, float),
+    "loss_kind": (train_mod.TrainConfig.loss_kind, str),
+    "gamma": (loss_mod.FocalConfig.gamma, float),
     "alpha": (None, str | list[float]),  # null = uniform; "inverse_frequency"; or a list
-    "seed": (0, int),
-    "shuffle": (True, bool),
+    "seed": (train_mod.TrainConfig.seed, int),
+    "shuffle": (train_mod.TrainConfig.shuffle, bool),
     "augment": (False, bool),
-    "hflip_prob": (0.5, float),
-    "max_rotation_deg": (15.0, float),
-    "max_shift_px": (2, int),
-    "fill_value": (0.0, float),
+    "hflip_prob": (data_mod.AugmentConfig.hflip_prob, float),
+    "max_rotation_deg": (data_mod.AugmentConfig.max_rotation_deg, float),
+    "max_shift_px": (data_mod.AugmentConfig.max_shift_px, int),
+    "fill_value": (data_mod.AugmentConfig.fill_value, float),
     "positive_classes": (None, list[str | int]),  # override for the binarized metric mode
     "data_root": (None, str),
     "out_dir": (None, str),
@@ -116,37 +118,20 @@ def _resolve_alpha(alpha_spec, train_set: data_mod.Dataset):
     return alpha_spec
 
 
-def _focal_config(gamma, alpha, num_classes: int) -> loss_mod.FocalConfig:
-    focal = loss_mod.FocalConfig(gamma=gamma, alpha=alpha)
+def _from_config(cls, cfg: dict, **given):
+    """``cls`` with each field that a config key names set from it; ``given`` wins."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg} | given)
+
+
+def _build_train_config(cfg: dict, alpha, num_classes: int) -> train_mod.TrainConfig:
+    """The run's TrainConfig from a config with every key, ``alpha`` its resolved weights."""
+    focal = _from_config(loss_mod.FocalConfig, cfg, alpha=alpha)
     if focal.alpha is not None and len(focal.alpha) != num_classes:
-        raise InvalidConfig(
-            f"alpha has {len(focal.alpha)} entries for {num_classes} classes")
-    return focal
-
-
-def _build_train_config(cfg: dict, train_set: data_mod.Dataset) -> train_mod.TrainConfig:
-    focal = _focal_config(cfg["gamma"], _resolve_alpha(cfg["alpha"], train_set),
-                          len(train_set.class_names))
+        raise InvalidConfig(f"alpha has {len(focal.alpha)} entries for {num_classes} classes")
     # validate augmentation fields up front even when augmentation is off
-    augment_cfg = data_mod.AugmentConfig(
-        hflip_prob=cfg["hflip_prob"],
-        max_rotation_deg=cfg["max_rotation_deg"],
-        max_shift_px=cfg["max_shift_px"],
-        seed=cfg["seed"],
-        fill_value=cfg["fill_value"],
-    )
-    if not cfg["augment"]:
-        augment_cfg = None
-    return train_mod.TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        loss_kind=cfg["loss_kind"],
-        focal=focal,
-        seed=cfg["seed"],
-        shuffle=cfg["shuffle"],
-        augment=augment_cfg,
-    )
+    augment = _from_config(data_mod.AugmentConfig, cfg)
+    return _from_config(train_mod.TrainConfig, cfg, focal=focal,
+                        augment=augment if cfg["augment"] else None)
 
 
 def _positive_classes(cfg_value, class_names: list[str]) -> list[int]:
@@ -186,7 +171,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if num_classes < 2:
         raise InvalidConfig(f"need >= 2 classes, found {num_classes}")
 
-    tcfg = _build_train_config(cfg, train_set)
+    tcfg = _build_train_config(cfg, _resolve_alpha(cfg["alpha"], train_set), num_classes)
     train_mod.check_sets(train_set, val_set, tcfg.batch_size)
     positives = _positive_classes(cfg["positive_classes"], train_set.class_names)
     model = init_params(cfg["seed"], num_classes)
@@ -249,13 +234,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     try:  # a value out of range in the sidecar is the checkpoint's fault, not the config's
-        if trained["loss_kind"] not in train_mod.LOSS_KINDS:
-            raise InvalidConfig(f"loss_kind must be one of {train_mod.LOSS_KINDS}")
-        focal = _focal_config(trained["gamma"], trained["alpha_resolved"], len(names))
+        tcfg = _build_train_config(trained, trained["alpha_resolved"], len(names))
         positives = _positive_classes(trained["positive_classes"], names)
     except InvalidConfig as exc:
         raise CorruptCheckpoint(f"{where}: {exc}") from exc
-    loss_kind = args.loss or trained["loss_kind"]
+    loss_kind, focal = args.loss or tcfg.loss_kind, tcfg.focal
     if args.loss is not None or args.gamma is not None:
         focal = loss_mod.FocalConfig(gamma=focal.gamma if args.gamma is None else args.gamma,
                                      alpha=None if args.loss else focal.alpha)

@@ -144,17 +144,16 @@ def init_params(seed: int, num_classes: int = 3) -> LeNetModel:
 # ---------------------------------------------------------------------------
 
 def _columns(x: np.ndarray, kh: int, kw: int, ws: Workspace,
-             start: int = 0, stop: int | None = None) -> np.ndarray:
-    """im2col of output rows start to stop (all by default) into the
-    workspace's column buffer: cols[C*kh*kw, R*Wo*N] with R = stop - start.
+             start: int, stop: int) -> np.ndarray:
+    """im2col of output rows start to stop into the workspace's column
+    buffer: cols[C*kh*kw, R*Wo*N] with R = stop - start.
 
     Row (c,u,v), column (i,j,n) is x[n,c,start+i+u,j+v]. The copy reads
     x's sliding windows as a strided view [C,kh,kw,R,Wo,N]; for a
     batch-innermost x it runs along (j, n), Wo*N contiguous values at a time.
     """
-    n, c, h, w = x.shape
-    ho, wo = h - kh + 1, w - kw + 1
-    stop = ho if stop is None else stop
+    n, c, _, w = x.shape
+    wo = w - kw + 1
     cols = ws.take("cols", (c, kh, kw, stop - start, wo, n))
     sn, sc, sh, sw = x.strides
     np.copyto(cols, np.lib.stride_tricks.as_strided(

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import types
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,12 @@ from hypothesis import strategies as st
 
 from lenetkit import cli, errors
 from lenetkit.checkpoint import Checkpoint, model_to_checkpoint, save_checkpoint
-from lenetkit.data import gen_synthetic, load_dataset
+from lenetkit.curves import render_curves_svg
+from lenetkit.data import AugmentConfig, gen_synthetic, load_dataset
 from lenetkit.errors import DivergenceDetected
+from lenetkit.loss import FocalConfig
 from lenetkit.nn import init_params, model_forward, param_shapes
+from lenetkit.train import EpochRecord, TrainConfig
 
 
 @pytest.fixture()
@@ -397,11 +401,21 @@ class TestEvaluateCommand:
         ("evaluate", with_train_config(positive_classes=["nope"])),
         ("evaluate", with_train_config(positive_classes=[3])),
         ("evaluate", with_train_config(alpha_resolved=[float("nan"), 1.0, 1.0])),
+        # every range check that train makes, also on fields evaluate does not use
+        ("evaluate", with_train_config(epochs=-1)),
+        ("evaluate", with_train_config(batch_size=0)),
+        ("evaluate", with_train_config(learning_rate=-1.0)),
+        ("evaluate", with_train_config(hflip_prob=7.0)),
+        ("evaluate", with_train_config(max_rotation_deg=400.0)),
+        ("evaluate", with_train_config(fill_value=2.0)),
+        ("evaluate", with_train_config(max_shift_px=-1)),
     ], ids=["list-sidecar", "one-class-name", "renamed-classes", "list-train-config",
             "string-gamma", "int-positive-classes", "unknown-loss-kind",
             "string-alpha-resolved", "int-final-record", "negative-gamma",
             "negative-alpha-resolved", "short-alpha-resolved", "unknown-positive-class",
-            "positive-index-past-end", "nan-alpha-resolved"])
+            "positive-index-past-end", "nan-alpha-resolved", "negative-epochs",
+            "zero-batch-size", "negative-learning-rate", "hflip-prob-past-1",
+            "rotation-past-180", "fill-value-past-1", "negative-shift"])
     def test_sidecar_disagreeing_with_data_is_data_error(
             self, synth_root, tmp_path, capsys, command, sidecar):
         out = tmp_path / "run"
@@ -605,6 +619,22 @@ class TestExportCurves:
                           ("loss", "16", "190", "rotate(-90 16 190)"),
                           ("epoch", "790", "374", None),
                           ("accuracy", "536", "190", "rotate(-90 536 190)")]
+
+    def test_svg_bytes_of_three_epochs(self):
+        """Every position of the layout, the tick labels and the legend included,
+        against a figure whose accuracy is flat, so its range is widened by 0.5."""
+        records = [EpochRecord(1, 1.1, 1.0, 0.9, 1.0), EpochRecord(2, 0.6, 1.0, 0.55, 1.0),
+                   EpochRecord(3, 0.3, 1.0, 0.4, 1.0)]
+        golden = Path(__file__).parent / "golden" / "curves_three_epochs.svg"
+        assert render_curves_svg(records).encode() == golden.read_bytes()
+
+    def test_span_past_the_float_range_places_points_exactly(self):
+        svg = render_curves_svg([EpochRecord(1, 1e308, 0.5, -1e308, 0.5),
+                                 EpochRecord(2, 1.0, 0.5, 1.0, 0.5)])
+        # the loss range pads to -1.1e308..1.1e308, whose span is past the float
+        # range: 1e308, 1 and -1e308 sit 10.5/11, 1/2 and 0.5/11 of the way up
+        loss_lines = re.findall(r'points="([^"]*)"', svg)[:2]
+        assert loss_lines == ["79.09,53.64 460.91,190.00", "79.09,326.36 460.91,190.00"]
 
     def test_single_row_csv(self, tmp_path):
         csv_path = tmp_path / "one.csv"
@@ -873,6 +903,16 @@ def test_readme_config_table_matches_schema():
             documented[key.strip("`")] = (type(default), default)
     assert documented == {key: (type(default), default)
                           for key, (default, _) in cli.CONFIG_SCHEMA.items()}
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    """A bare config builds the TrainConfig that the library's defaults build."""
+    cfg = {key: default for key, (default, _) in cli.CONFIG_SCHEMA.items()}
+    built = cli._build_train_config(cfg, None, 3)
+    assert built == TrainConfig(focal=FocalConfig(), augment=None)
+    assert cli._build_train_config({**cfg, "augment": True}, None, 3).augment == AugmentConfig()
+    named = {f.name for cls in (TrainConfig, AugmentConfig) for f in fields(cls)}
+    assert named - {"focal", "augment"} <= set(cli.CONFIG_SCHEMA)
 
 
 def test_cli_import_loads_every_module():
